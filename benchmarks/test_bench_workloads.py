@@ -11,12 +11,13 @@ Cells (per substrate):
 * ``kmedian/<substrate>/cold`` — sample a fresh pool, build the
   expected-distance matrix, greedy seed + Lloyd refine;
 * ``kmedian/<substrate>/warm`` — same query against the already-warm
-  store: zero resampling, the matrix build dominates;
+  store: zero resampling, the matrix build (one packed all-sources
+  BFS per chunk, :func:`repro.sampling.worlds.packed_bfs`) dominates;
 * ``kcenter/<substrate>/warm`` — farthest-point traversal over the
   warm pool;
 * ``centrality/<substrate>/{degree,harmonic}`` — expected centrality
-  over the warm pool (degree is a sparse matmul; harmonic walks one
-  block BFS per source);
+  over the warm pool (degree is a sparse matmul; harmonic runs the
+  same packed BFS, then sums ``1/d`` over each source's distance rows);
 * ``centrality/tiny60/betweenness`` — per-world Brandes is the one
   pure-Python kernel, so it gets its own small substrate.
 

@@ -28,8 +28,9 @@ from repro.sampling.store import (
 )
 from repro.sampling.deltas import DeriveResult, derive_pool, diff_edges
 from repro.sampling.worlds import (
-    block_bfs_distances,
     block_bfs_reached,
+    hop_levels,
+    packed_bfs,
     sample_edge_masks,
     world_component_labels,
     world_block_csr,
@@ -77,8 +78,9 @@ __all__ = [
     "average_degree_representative",
     "degree_discrepancy",
     "most_probable_world",
-    "block_bfs_distances",
     "block_bfs_reached",
+    "hop_levels",
+    "packed_bfs",
     "sample_edge_masks",
     "world_component_labels",
     "world_block_csr",

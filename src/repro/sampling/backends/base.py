@@ -108,3 +108,33 @@ def block_edge_endpoints(
     bsrc = graph.edge_src[edge_idx].astype(np.int64) + offset
     bdst = graph.edge_dst[edge_idx].astype(np.int64) + offset
     return bsrc, bdst, r
+
+
+def receiver_sorted_arcs(
+    graph: UncertainGraph, *, cover_all: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both directions of every edge, pre-sorted by receiving node.
+
+    Returns ``(recv, src, eid)``: arc ``a`` carries edge ``eid[a]`` from
+    ``src[a]`` into ``recv[a]``.  Sorting once lets a packed kernel
+    cover each node's candidate segment with a single ``reduceat``.
+    With ``cover_all=True`` every node receives at least one arc: a
+    node without edges gets a self arc with ``eid == n_edges``, an
+    index past the last edge that callers map to "never present", so
+    ``reduceat`` yields exactly one row per node.
+    """
+    n, m = graph.n_nodes, graph.n_edges
+    recv = np.concatenate([graph.edge_dst, graph.edge_src])
+    src = np.concatenate([graph.edge_src, graph.edge_dst])
+    eid = np.concatenate([np.arange(m)] * 2)
+    if cover_all:
+        bare = np.flatnonzero(np.bincount(recv, minlength=n) == 0)
+        recv = np.concatenate([recv, bare])
+        src = np.concatenate([src, bare])
+        eid = np.concatenate([eid, np.full(len(bare), m)])
+    order = np.argsort(recv, kind="stable")
+    return (
+        np.ascontiguousarray(recv[order]),
+        np.ascontiguousarray(src[order]),
+        np.ascontiguousarray(eid[order]),
+    )

@@ -54,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.backends.base import validate_masks
+from repro.sampling.backends.base import receiver_sorted_arcs, validate_masks
 from repro.sampling.store import WORD_BITS, pack_mask_columns, packed_words
 
 #: All 64 bits set — the plane value of a label bit that is 1.
@@ -108,7 +108,7 @@ class BitParallelWorldBackend:
         identity = np.tile(np.arange(n, dtype=np.int32), (r, 1))
         if m == 0 or not packed_cols.any():
             return identity
-        arcs = _arc_table(graph)
+        arcs = receiver_sorted_arcs(graph)
         out = np.empty((n, r), dtype=np.int32)
         for word in range(packed_cols.shape[1]):
             n_bits = min(WORD_BITS, r - word * WORD_BITS)
@@ -149,23 +149,6 @@ class BitParallelWorldBackend:
         allowed = masks & affected[:, graph.edge_src]
         fresh = self.component_labels(graph, allowed)
         return np.where(affected, fresh, old_labels)
-
-def _arc_table(graph: UncertainGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both directions of every edge, pre-sorted by receiving node.
-
-    Sorting once lets every propagation round cover each node's
-    candidate segment with a single ``reduceat``; the table is shared
-    by all word batches of a chunk.
-    """
-    recv = np.concatenate([graph.edge_dst, graph.edge_src])
-    src = np.concatenate([graph.edge_src, graph.edge_dst])
-    eid = np.concatenate([np.arange(graph.n_edges)] * 2)
-    order = np.argsort(recv, kind="stable")
-    return (
-        np.ascontiguousarray(recv[order]),
-        np.ascontiguousarray(src[order]),
-        np.ascontiguousarray(eid[order]),
-    )
 
 
 def _label_word_batch(

@@ -55,11 +55,7 @@ from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.backends import WorldBackend, resolve_backend
 from repro.sampling.parallel import ParallelSampler, ensure_seed_sequence
 from repro.sampling.store import WorldStore, unpack_mask_columns
-from repro.sampling.worlds import (
-    block_bfs_distances,
-    block_bfs_reached,
-    world_block_csr,
-)
+from repro.sampling.worlds import block_bfs_reached, packed_bfs, world_block_csr
 
 
 class MonteCarloOracle:
@@ -298,7 +294,7 @@ class MonteCarloOracle:
         """Labels of up to ``want`` stored worlds from ``start`` (miss: ``None``).
 
         Only the labels are read here; the packed mask columns stay in
-        the store and are materialized by :meth:`_masks_chunk` if a
+        the store and are materialized by :meth:`_packed_chunk` if a
         depth-limited query ever needs them.  A pool cleared or
         truncated by another process between the count and the read is
         treated as a miss (we fall back to sampling), never as an
@@ -341,8 +337,8 @@ class MonteCarloOracle:
             return np.empty((0, self._graph.n_nodes), dtype=np.int32)
         return np.concatenate(self._label_chunks, axis=0)
 
-    def _masks_chunk(self, index: int) -> np.ndarray:
-        """Boolean edge masks of chunk ``index``, unpacked on demand.
+    def _packed_chunk(self, index: int) -> np.ndarray:
+        """Edge-major packed mask columns of chunk ``index``.
 
         A chunk served from the store loads its packed columns here on
         first touch.  Should the stored pool have been cleared in the
@@ -351,9 +347,9 @@ class MonteCarloOracle:
         bit-identical either way.
         """
         packed = self._packed_chunks[index]
-        rows = self._label_chunks[index].shape[0]
         if packed is None:
             start = self._chunk_starts[index]
+            rows = self.chunk_worlds(index)
             try:
                 packed, _labels = self._store.read(self._pool_digest, start, start + rows)
             except (OSError, ValueError, OracleError):
@@ -361,7 +357,11 @@ class MonteCarloOracle:
                     self._seed_seq, start, rows
                 )
             self._packed_chunks[index] = packed
-        return unpack_mask_columns(packed, rows)
+        return packed
+
+    def _masks_chunk(self, index: int) -> np.ndarray:
+        """Boolean edge masks of chunk ``index``, unpacked on demand."""
+        return unpack_mask_columns(self._packed_chunk(index), self.chunk_worlds(index))
 
     def _csr_chunk(self, index: int) -> sp.csr_matrix:
         block = self._csr_chunks[index]
@@ -498,8 +498,11 @@ class MonteCarloOracle:
         (:mod:`repro.workloads.exact`), making the estimate directly
         checkable against ground truth.
 
-        Cost: one block-diagonal BFS per (chunk, source) — all worlds
-        of a chunk are walked simultaneously.
+        Cost: one :func:`~repro.sampling.worlds.packed_bfs` per chunk,
+        straight on the packed mask columns — 64 worlds per word and a
+        batch of sources per level.  Distance sums are integer
+        (``depth * popcount`` per level, ``n_nodes`` per unreached
+        world), so the estimate is exact arithmetic on the pool.
 
         Examples
         --------
@@ -518,15 +521,15 @@ class MonteCarloOracle:
             sources = np.asarray(sources, dtype=np.intp)
             if len(sources) and (sources.min() < 0 or sources.max() >= n):
                 raise IndexError("expected_distances sources out of range")
-        sums = np.zeros((len(sources), n), dtype=np.float64)
+        sums = np.zeros((len(sources), n), dtype=np.int64)
         for index in range(self.n_chunks):
             rows = self.chunk_worlds(index)
-            block = self._csr_chunk(index)
-            for pos, source in enumerate(sources):
-                dist = block_bfs_distances(block, n, rows, int(source))
-                dist = dist.astype(np.float64)
-                dist[dist < 0] = float(n)
-                sums[pos] += dist.sum(axis=0)
+            levels = packed_bfs(self._graph, self._packed_chunk(index), rows, sources)
+            for positions, planes, reached in levels:
+                total = n * (rows - _popcount(reached))
+                for bit, plane in enumerate(planes):
+                    total += _popcount(plane) << bit
+                sums[positions] += total.T
         return sums / self._n_samples
 
     def __repr__(self) -> str:
@@ -535,3 +538,8 @@ class MonteCarloOracle:
             f"num_samples={self._n_samples}, max_samples={self._max_samples}, "
             f"backend={self._backend.name!r}, workers={self.workers})"
         )
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of ``(..., w)`` ``uint64`` words, summed over ``w``."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)

@@ -16,6 +16,12 @@ the matrix.  The block-diagonal CSR form remains the workhorse of
 depth-limited queries: one sparse gather advances a BFS frontier *in
 every world simultaneously*.  This substitutes for the OpenMP parallel
 sampler in the authors' C++ implementation.
+
+Hop distances from *every* source — the input of the k-median /
+k-center and harmonic-centrality workloads — come from
+:func:`packed_bfs`, which never builds the CSR: it runs one
+level-synchronous BFS over the store's bit-packed edge columns, 64
+worlds per ``uint64`` word and a batch of sources per numpy call.
 """
 
 from __future__ import annotations
@@ -25,8 +31,13 @@ import scipy.sparse as sp
 
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.backends import resolve_backend
-from repro.sampling.backends.base import block_edge_endpoints
+from repro.sampling.backends.base import block_edge_endpoints, receiver_sorted_arcs
+from repro.sampling.store import pack_mask_columns, packed_words
 from repro.utils.rng import ensure_rng
+
+#: Byte budget of the largest temporary of one :func:`packed_bfs` level
+#: (the ``(arcs, sources, words)`` gather); it sets the source batch.
+_BFS_GATHER_BYTES = 1 << 17
 
 
 def sample_edge_masks(edge_prob: np.ndarray, r: int, rng=None) -> np.ndarray:
@@ -82,44 +93,6 @@ def _gather_ranges(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - shifts, lengths) + np.arange(total, dtype=np.int64)
 
 
-def block_bfs_distances(
-    block: sp.csr_matrix,
-    n_nodes: int,
-    r: int,
-    source: int,
-    max_depth: int | None = None,
-) -> np.ndarray:
-    """Hop distances from ``source`` in each of ``r`` worlds.
-
-    Same frontier-driven traversal as :func:`block_bfs_reached`, but
-    recording the BFS level at which each vertex is first reached.
-    Returns an ``(r, n_nodes)`` int32 matrix; unreachable nodes (and,
-    with ``max_depth``, nodes further than that many hops) are ``-1``.
-    This is the workhorse of the expected-distance queries behind the
-    k-median / k-center workloads: one call walks *every* sampled world
-    simultaneously.
-    """
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    total = r * n_nodes
-    dist = np.full(total, -1, dtype=np.int32)
-    frontier = source + np.arange(r, dtype=np.int64) * n_nodes
-    dist[frontier] = 0
-    indptr, indices = block.indptr, block.indices
-    depth = 0
-    while len(frontier):
-        if max_depth is not None and depth >= max_depth:
-            break
-        neighbours = indices[_gather_ranges(indptr, frontier)]
-        neighbours = neighbours[dist[neighbours] < 0]
-        if len(neighbours) == 0:
-            break
-        frontier = np.unique(neighbours)
-        depth += 1
-        dist[frontier] = depth
-    return dist.reshape(r, n_nodes)
-
-
 def block_bfs_reached(
     block: sp.csr_matrix,
     n_nodes: int,
@@ -153,3 +126,124 @@ def block_bfs_reached(
         frontier = np.unique(neighbours)
         reached[frontier] = True
     return reached.reshape(r, n_nodes)
+
+
+def packed_bfs(graph: UncertainGraph, packed_cols: np.ndarray, n_worlds: int, sources=None):
+    """Hop distances from many sources in every packed world at once.
+
+    ``packed_cols`` is the store's edge-major form
+    (:func:`repro.sampling.store.pack_mask_columns`): ``(m, w)``
+    ``uint64`` with ``w = packed_words(n_worlds)``, bit ``i`` of row
+    ``e`` set iff edge ``e`` is present in world ``i``.  ``sources``
+    defaults to every node.
+
+    The BFS is level-synchronous over a batch of sources.  The state is
+    node-major ``(n, sources, w)`` words: bit ``i`` of ``reached[v, j]``
+    says ``v`` is reached from source ``j`` in world ``i``.  One level
+    gathers ``frontier[src] & cols[edge]`` over the arcs sorted by
+    receiving node, ORs each node's segment with one ``reduceat`` and
+    clears what was already reached — no CSR matrix, no unpacking and
+    no ``np.unique``.  When fewer than half of the arcs leave a node on
+    the frontier (the long tail levels of sparse worlds), the level
+    gathers only those arcs.  Sources whose BFS has ended in every world are
+    dropped once they make up half of the batch, so fragmented worlds
+    do not pay for a long tail of finished columns.  Pad bits at or
+    above ``n_worlds`` in the last word never count: the sources start
+    with the valid world bits only, and a level only ever ANDs the
+    frontier with edge bits, so no pad bit is ever set.
+
+    Yields ``(positions, planes, reached)`` per group of finished
+    sources: ``positions`` indexes ``sources``; ``reached`` is the
+    ``(n, g, w)`` reach bitset; ``planes[b]`` (same shape) holds bit
+    ``b`` of the hop count, so a world's depth of ``v`` from source
+    ``j`` is ``sum_b bit(planes[b][v, j]) << b`` (0 at the source and
+    where ``v`` is unreached).  :func:`hop_levels` decodes the planes.
+
+    Examples
+    --------
+    >>> g = UncertainGraph.from_edges([(0, 1, 0.5), (1, 2, 0.5)])
+    >>> cols = pack_mask_columns(np.array([[True, True], [True, False]]))
+    >>> [(p.tolist(), hop_levels(planes, 2).tolist())
+    ...  for p, planes, _ in packed_bfs(g, cols, 2, [0])]
+    [([0], [[[0, 1, 2], [0, 1, 0]]])]
+    """
+    n = graph.n_nodes
+    words = packed_words(n_worlds)
+    packed_cols = np.asarray(packed_cols, dtype=np.uint64)
+    if packed_cols.shape != (graph.n_edges, words):
+        raise ValueError(
+            f"packed columns must have shape ({graph.n_edges}, {words}) for "
+            f"{n_worlds} worlds, got {packed_cols.shape}"
+        )
+    sources = np.arange(n) if sources is None else np.asarray(sources, dtype=np.intp)
+    if len(sources) and (sources.min() < 0 or sources.max() >= n):
+        raise IndexError("packed_bfs sources out of range")
+    recv, tails, edges = receiver_sorted_arcs(graph, cover_all=True)
+    starts = np.flatnonzero(np.r_[True, recv[1:] != recv[:-1]])
+    never = np.zeros((1, words), dtype=np.uint64)  # the edge of a bare node's self arc
+    arc_cols = np.concatenate([packed_cols, never])[edges][:, None, :]
+    valid = pack_mask_columns(np.ones((n_worlds, 1), dtype=bool))[0]  # the real world bits
+    batch = max(1, _BFS_GATHER_BYTES // max(1, len(tails) * words * 8))
+    for lo in range(0, len(sources), batch):
+        positions = np.arange(lo, min(lo + batch, len(sources)))
+        reached = np.zeros((n, len(positions), words), dtype=np.uint64)
+        reached[sources[positions], np.arange(len(positions))] = valid
+        frontier = reached.copy()
+        planes = [np.zeros_like(reached)]
+        depth = 0
+        while True:
+            depth += 1
+            hot = np.bitwise_or.reduce(frontier.reshape(n, len(positions) * words), axis=1) != 0
+            arcs = np.flatnonzero(hot[tails])
+            if len(arcs) == 0:  # an empty frontier (only with zero worlds)
+                break
+            if 2 * len(arcs) < len(tails):
+                heads = recv[arcs]
+                cuts = np.flatnonzero(np.r_[True, heads[1:] != heads[:-1]])
+                gathered = frontier[tails[arcs]]
+                gathered &= arc_cols[arcs]
+                frontier = np.zeros_like(reached)
+                frontier[heads[cuts]] = np.bitwise_or.reduceat(gathered, cuts, axis=0)
+            else:
+                gathered = frontier[tails]
+                gathered &= arc_cols
+                frontier = np.bitwise_or.reduceat(gathered, starts, axis=0)
+            frontier &= ~reached
+            alive = np.bitwise_or.reduce(frontier, axis=0).any(axis=1)
+            if not alive.any():
+                break
+            if 2 * alive.sum() <= len(positions):
+                done = ~alive
+                yield positions[done], [plane[:, done] for plane in planes], reached[:, done]
+                positions = positions[alive]
+                frontier, reached = frontier[:, alive], reached[:, alive]
+                planes = [plane[:, alive] for plane in planes]
+            reached |= frontier
+            if depth.bit_length() > len(planes):
+                planes.append(np.zeros_like(reached))
+            for bit in range(depth.bit_length()):
+                if depth >> bit & 1:
+                    planes[bit] |= frontier
+        yield positions, planes, reached
+
+
+def hop_levels(planes: list[np.ndarray], n_worlds: int) -> np.ndarray:
+    """Decode :func:`packed_bfs` depth planes into per-world hop counts.
+
+    Returns ``(g, n_worlds, n)`` levels in the smallest unsigned dtype
+    that holds ``n - 1``: entry ``[j, i, v]`` is the hop count of ``v``
+    from source ``j`` in world ``i``, 0 at the source and where ``v``
+    is unreached (tell those apart with the ``reached`` bits).  Each
+    ``(n_worlds, n)`` slab is one contiguous world-by-node row block.
+    """
+    n, g, _words = planes[0].shape
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    levels = np.zeros((n, g, n_worlds), dtype=dtype)
+    for bit, plane in enumerate(planes):
+        bits = np.unpackbits(
+            np.ascontiguousarray(plane).view(np.uint8), axis=-1, count=n_worlds,
+            bitorder="little",
+        ).astype(dtype, copy=False)
+        bits <<= dtype.type(bit)
+        levels |= bits
+    return np.ascontiguousarray(levels.transpose(1, 2, 0))

@@ -18,8 +18,10 @@ Measures
     Harmonic closeness ``(1/(n-1)) * sum_u 1/d(v, u)`` with
     ``1/inf = 0`` for unreachable pairs — the standard centrality that
     stays well defined on the disconnected worlds uncertain graphs
-    routinely produce.  One block-diagonal BFS per source walks all
-    worlds of the batch at once.
+    routinely produce.  One :func:`~repro.sampling.worlds.packed_bfs`
+    over the packed masks walks every source in all worlds of the batch
+    at once; each source's ``(r, n)`` distance rows are then rebuilt
+    from its depth planes and summed as ``1/d`` row by row.
 ``betweenness``
     Brandes shortest-path betweenness (unordered pairs, endpoints
     excluded).  Computed per world in ``O(n * m)`` each — exact and
@@ -36,10 +38,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.sampling.worlds import block_bfs_distances, world_block_csr
+from repro.sampling.store import pack_mask_columns
+from repro.sampling.worlds import hop_levels, packed_bfs
 
 #: Valid ``measure=`` names, in the order the CLI/API document them.
 MEASURE_NAMES = ("degree", "harmonic", "betweenness")
+
+#: Byte budget of one block of :func:`world_harmonic` temporaries: the
+#: ``uint8`` hop levels decoded at once, and the float64 ``1/d`` rows
+#: summed at once.
+_HARMONIC_BLOCK_BYTES = 1 << 16
 
 
 def _as_mask_matrix(graph: UncertainGraph, masks) -> np.ndarray:
@@ -96,12 +104,20 @@ def world_harmonic(graph: UncertainGraph, masks) -> np.ndarray:
     values = np.zeros((r, n), dtype=np.float64)
     if n <= 1 or r == 0:
         return values
-    block = world_block_csr(graph, masks)
-    for source in range(n):
-        dist = block_bfs_distances(block, n, r, source).astype(np.float64)
-        with np.errstate(divide="ignore"):
-            inverse = np.where(dist > 0, 1.0 / dist, 0.0)
-        values[:, source] = inverse.sum(axis=1)
+    # 1/d by hop count d; d = 0 marks the source itself and unreached
+    # nodes, which both contribute 0.
+    hops = np.arange(n, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        inverse = np.where(hops > 0, 1.0 / hops, 0.0)
+    decode = max(1, _HARMONIC_BLOCK_BYTES // (r * n))
+    rows = max(1, decode // 8)
+    for positions, planes, _reached in packed_bfs(graph, pack_mask_columns(masks), r):
+        for lo in range(0, len(positions), decode):
+            levels = hop_levels([plane[:, lo:lo + decode] for plane in planes], r)
+            for at in range(0, len(levels), rows):
+                # Contiguous (r, n) rows per source, summed along each row.
+                block = inverse[levels[at:at + rows]]
+                values[:, positions[lo + at:lo + at + rows]] = block.sum(axis=2).T
     values /= n - 1
     return values
 
