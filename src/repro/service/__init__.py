@@ -2,14 +2,13 @@
 
 The library-and-CLI reproduction grown into a long-lived process
 (``repro serve``): a graph registry, synchronous endpoints for cheap
-queries, a background job queue for mcp/acp/mcl/gmm clustering runs —
-in-process threads or spawned worker processes — and per-process
-oracle caches (LRU byte budget over a shared
+queries, one background job queue for clustering, k-median/k-center
+and centrality jobs — run on in-process threads or spawned worker
+processes — and per-process oracle caches (LRU byte budget over a shared
 :class:`~repro.sampling.store.WorldStore`) that amortize Monte Carlo
 world pools across requests — a warm repeated request samples zero new
-worlds and returns bit-identical labels.  The HTTP surface is
-versioned under ``/v1`` (legacy paths answer with a ``Deprecation``
-header), every response carries an ``X-Request-Id``, errors share one
+worlds and returns bit-identical labels.  The HTTP surface lives under
+``/v1``, every response carries an ``X-Request-Id``, errors share one
 envelope, job progress streams over SSE, and admission control fronts
 the queue — see ``docs/API.md``.
 
@@ -20,10 +19,12 @@ Modules
 :mod:`repro.service.cache`
     :class:`OracleCache` — the pool cache keyed by ``pool_fingerprint``.
 :mod:`repro.service.jobs`
-    :class:`JobQueue` — coalescing background jobs with cancellation,
-    progress events, and pagination helpers.
+    :class:`JobQueue` — the one job-state core (coalescing, admission,
+    cancellation, progress events, pruning) — its in-process
+    :class:`ThreadExecutor`, and pagination helpers.
 :mod:`repro.service.workers`
-    :class:`ProcessJobQueue` — the multi-process worker pool.
+    :class:`WorkerPool` — the executor over spawned worker processes —
+    and :func:`execute_clustering`, the runner both executors share.
 :mod:`repro.service.admission`
     :class:`AdmissionControl` — rate limits and queue backpressure.
 :mod:`repro.service.app`
@@ -36,8 +37,8 @@ from repro.service.admission import AdmissionControl
 from repro.service.app import BackgroundServer, ClusterService, GraphRegistry, serve
 from repro.service.cache import OracleCache
 from repro.service.http import EventStream, HttpServer, Request, Router
-from repro.service.jobs import Job, JobQueue, canonical_key, paginate_jobs
-from repro.service.workers import ProcessJobQueue, execute_clustering
+from repro.service.jobs import Job, JobQueue, ThreadExecutor, canonical_key, paginate_jobs
+from repro.service.workers import WorkerPool, execute_clustering
 
 __all__ = [
     "AdmissionControl",
@@ -49,9 +50,10 @@ __all__ = [
     "Job",
     "JobQueue",
     "OracleCache",
-    "ProcessJobQueue",
     "Request",
     "Router",
+    "ThreadExecutor",
+    "WorkerPool",
     "canonical_key",
     "execute_clustering",
     "paginate_jobs",

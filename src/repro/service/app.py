@@ -1,10 +1,9 @@
 """The async clustering service: registry, endpoints, jobs, cache.
 
 :class:`ClusterService` wires the whole pipeline behind a versioned
-HTTP/JSON API (served by :mod:`repro.service.http`).  Canonical routes
-live under ``/v1``; the un-prefixed legacy spellings keep working but
-answer with a ``Deprecation: true`` header (see ``docs/API.md`` for
-the full surface, including status codes and the SSE event schema):
+HTTP/JSON API (served by :mod:`repro.service.http`).  Every route lives
+under ``/v1`` (see ``docs/API.md`` for the full surface, including
+status codes and the SSE event schema):
 
 ====== ================================= ======================================
 method endpoint                          purpose
@@ -29,13 +28,14 @@ POST   ``/v1/shutdown``                  drain in-flight jobs, then stop
 ====== ================================= ======================================
 
 Cheap queries (estimates, stats) run synchronously — but off the event
-loop, on the default executor.  Clustering jobs go through a job queue
-(coalescing, cancellation, progress events): the in-process
-:class:`~repro.service.jobs.JobQueue` by default, or — with
+loop, on the default executor.  Clustering jobs go through the
+:class:`~repro.service.jobs.JobQueue` (coalescing, cancellation,
+progress events) and run on one of its two executors: the in-process
+:class:`~repro.service.jobs.ThreadExecutor` by default, or — with
 ``worker_processes >= 1`` — the
-:class:`~repro.service.workers.ProcessJobQueue`, which dispatches to
-spawned worker processes each holding its own oracle cache over the
-same on-disk world store.  Either way a warm repeated request samples
+:class:`~repro.service.workers.WorkerPool`, which dispatches to spawned
+worker processes each holding its own oracle cache over the same
+on-disk world store.  Either way a warm repeated request samples
 zero new worlds and returns labels bit-identical to the equivalent
 direct library call — see ``docs/ARCHITECTURE.md`` for the invariants
 and ``tests/test_service.py`` for the pins.
@@ -76,8 +76,8 @@ from repro.service.http import (
     Router,
     sse_event,
 )
-from repro.service.jobs import TERMINAL_STATES, JobQueue, paginate_jobs
-from repro.service.workers import MAX_REQUEST_SAMPLES, ProcessJobQueue, execute_clustering
+from repro.service.jobs import TERMINAL_STATES, JobQueue, ThreadExecutor, paginate_jobs
+from repro.service.workers import MAX_REQUEST_SAMPLES, WorkerPool, execute_clustering
 from repro.workloads.measures import MEASURE_NAMES
 
 _JOB_ALGORITHMS = ("mcp", "acp", "mcl", "gmm", "kmedian", "kcenter", "centrality")
@@ -362,10 +362,11 @@ class ClusterService:
     job_workers:
         Concurrent clustering jobs in thread mode (executor threads).
     worker_processes:
-        ``0`` (default) executes jobs on the in-process thread queue;
-        ``>= 1`` spawns that many worker processes
-        (:class:`~repro.service.workers.ProcessJobQueue`) and
-        dispatches jobs to them.
+        ``0`` (default) runs jobs on the in-process
+        :class:`~repro.service.jobs.ThreadExecutor`; ``>= 1`` spawns
+        that many worker processes
+        (:class:`~repro.service.workers.WorkerPool`) and dispatches
+        jobs to them.
     sampling_workers:
         ``workers=`` passed to each oracle (results are bit-identical
         under any value, so it is a deployment knob, not a request
@@ -411,15 +412,16 @@ class ClusterService:
         self.graphs = GraphRegistry()
         self.worker_processes = int(worker_processes)
         if self.worker_processes > 0:
-            self.jobs = ProcessJobQueue(
+            executor = WorkerPool(
                 workers=self.worker_processes,
                 world_cache=world_cache,
                 cache_bytes=cache_bytes,
                 sampling_workers=sampling_workers,
-                trace_log=None if trace_log is None else str(trace_log),
+                trace_log=trace_log,
             )
         else:
-            self.jobs = JobQueue(self._run_job, workers=job_workers)
+            executor = ThreadExecutor(self._run_job, workers=job_workers)
+        self.jobs = JobQueue(executor)
         self.admission = admission if admission is not None else AdmissionControl()
         self._sampling_workers = sampling_workers
         self._grace_s = float(shutdown_grace_s)
@@ -455,7 +457,7 @@ class ClusterService:
     # ------------------------------------------------------------------
 
     def _build_router(self) -> Router:
-        router = Router(canonical_prefix="/v1")
+        router = Router()
         router.add("GET", "/v1/healthz", self._handle_health)
         router.add("GET", "/v1/version", self._handle_version)
         router.add("GET", "/v1/graphs", self._handle_graphs_list)
@@ -485,12 +487,10 @@ class ClusterService:
         calls; everything that would *create* work is rejected 503.
         """
         if self._draining:
-            path = request.path
-            unversioned = path[3:] if path.startswith("/v1/") else path
             allowed = (
                 request.method == "GET"
-                or unversioned == "/shutdown"
-                or (request.method == "DELETE" and unversioned.startswith("/jobs/"))
+                or request.path == "/v1/shutdown"
+                or (request.method == "DELETE" and request.path.startswith("/v1/jobs/"))
             )
             if not allowed:
                 raise ServiceError(
@@ -507,13 +507,11 @@ class ClusterService:
         states = {}
         for job in self.jobs.list():
             states[job.status] = states.get(job.status, 0) + 1
-        uptime = time.monotonic() - self._started
         return 200, {
             "status": "draining" if self._draining else "ok",
             "version": __version__,
             "started_at": self._started_wall,
-            "uptime_seconds": uptime,
-            "uptime_s": uptime,  # pre-telemetry spelling, kept for clients
+            "uptime_seconds": time.monotonic() - self._started,
             "graphs": len(self.graphs),
             "jobs": states,
             "workers": self.jobs.workers,
@@ -860,29 +858,19 @@ class ClusterService:
         return 202, job.describe()
 
     def _run_job(self, job) -> dict:
-        """Execute one clustering job on a worker thread."""
-        params = job.params
-        # The graph (and its derivation lineage) captured at submission;
-        # falling back to the registry only covers jobs submitted
-        # without a context (direct queue use).
-        if isinstance(job.context, tuple):
-            graph, ancestors = job.context
-        elif job.context is not None:
-            graph, ancestors = job.context, ()
-        else:
-            graph, _revision, ancestors = self.graphs.resolve_with_ancestors(params["graph"])
+        """Execute one clustering job on a thread-executor thread."""
+        # The graph and its derivation lineage, captured at submission.
+        graph, ancestors = job.context
 
         def cancel_check() -> None:
             if job.cancel_event.is_set():
                 raise JobCancelledError(f"job {job.id} cancelled")
 
-        def progress(data: dict) -> None:
-            job.add_event("progress", data)
-
         return execute_clustering(
-            job.id, params, graph, ancestors, self.cache,
+            job.id, job.params, graph, ancestors, self.cache,
             sampling_workers=self._sampling_workers,
-            cancel_check=cancel_check, progress=progress,
+            cancel_check=cancel_check,
+            progress=functools.partial(self.jobs.apply, job.id, "progress"),
         )
 
 

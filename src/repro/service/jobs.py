@@ -1,13 +1,23 @@
-"""Background job queue with request coalescing and cancellation.
+"""The job queue: one core owning job state, two executors running jobs.
 
-Long-running clustering requests (``mcp``/``acp``/``mcl``/``gmm``) do
-not block the event loop: they are recorded as :class:`Job` objects and
-executed on a :class:`~concurrent.futures.ThreadPoolExecutor` (or
-dispatched to worker *processes* by
-:class:`repro.service.workers.ProcessJobQueue`, which shares the
-:class:`Job` bookkeeping defined here), while HTTP clients poll
-``GET /v1/jobs/{id}``, stream ``/v1/jobs/{id}/events``, and fetch
-``/v1/jobs/{id}/result``.
+Long-running requests (mcp/acp/mcl/gmm clustering, k-median/k-center,
+expected centrality) do not block the event loop: they are recorded as
+:class:`Job` objects in a :class:`JobQueue` and run by an *executor*,
+while HTTP clients poll ``GET /v1/jobs/{id}``, stream
+``/v1/jobs/{id}/events``, and fetch ``/v1/jobs/{id}/result``.
+
+One core, two executors
+    :class:`JobQueue` owns every piece of job state: the records, the
+    coalescing ledger, admission, per-client counts, cancel
+    bookkeeping, pruning and the job metrics.  :meth:`JobQueue.apply`
+    is the only code that moves a job through ``running``,
+    ``progress`` and a terminal state.  An executor only runs jobs and
+    reports ``(job_id, kind, data)`` events to ``apply``; besides its
+    ``workers`` count it has ``start(apply)``, ``dispatch(job)``,
+    ``cancel(job)`` and ``shutdown()``.  :class:`ThreadExecutor` runs
+    ``runner(job)`` on a thread pool;
+    :class:`repro.service.workers.WorkerPool` dispatches to spawned
+    worker processes.
 
 Coalescing invariant
     Jobs are keyed by the canonical JSON of their *normalized*
@@ -20,15 +30,16 @@ Coalescing invariant
     the oracle cache then serves warm with zero new sampling.
 
 Cancellation
-    ``cancel()`` flips the job's event.  A queued job is withdrawn from
-    the executor and marked ``cancelled`` immediately; a running job is
-    unwound cooperatively at its next ``cancel_check`` (between
-    threshold guesses in mcp/acp) via
-    :class:`~repro.exceptions.JobCancelledError`.
+    ``cancel()`` sets the job's ``cancel_event``, stops coalescing onto
+    the job, and signals the executor.  A job that has not started
+    ends ``cancelled`` ("cancelled before start") without a
+    ``running`` event under either executor; a running job is unwound
+    cooperatively at its next ``cancel_check`` (between threshold
+    guesses in mcp/acp) via :class:`~repro.exceptions.JobCancelledError`.
 
 Events
     Every lifecycle transition (and every progress report from the
-    clustering progress hook) is appended to ``job.events`` with a
+    algorithm's progress hook) is appended to ``job.events`` with a
     monotone per-job ``seq`` — the replayable record the SSE endpoint
     streams.
 
@@ -36,7 +47,8 @@ Admission
     ``submit(..., admit=...)`` invokes the admission callback under the
     queue lock *only when a brand-new job would be created* — coalesced
     resubmissions are never rejected (they add no load), and the check
-    is race-free against concurrent submissions.
+    is race-free against concurrent submissions.  After ``shutdown()``
+    every submission is rejected 503 before any job is created.
 """
 
 from __future__ import annotations
@@ -47,7 +59,7 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro import telemetry
@@ -89,8 +101,6 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: The states a job never leaves.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
-
-_TERMINAL = TERMINAL_STATES  # backward-compatible alias
 
 #: Default / maximum page sizes of :func:`paginate_jobs`.
 DEFAULT_PAGE_LIMIT = 100
@@ -152,9 +162,9 @@ class Job:
     #: Replayable event log (lifecycle transitions + progress reports).
     events: list[dict] = field(default_factory=list)
     cancel_event: threading.Event = field(default_factory=threading.Event, repr=False)
-    #: Opaque payload captured at submission (the service stores the
-    #: resolved graph object here so a job is immune to the registry
-    #: entry being replaced mid-flight).  Never serialized.
+    #: ``(graph, ancestors)`` resolved at submission, so a job is
+    #: immune to the registry entry being replaced mid-flight.  Never
+    #: serialized.
     context: object = field(default=None, repr=False)
     _events_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -241,43 +251,62 @@ def paginate_jobs(jobs, *, state: str | None = None, limit=None,
     return page, next_cursor
 
 
+def job_outcome(job_id: str, trace_id: str, body: Callable[[], dict]) -> tuple[str, dict]:
+    """Run one job body under its trace; return the terminal ``(kind, data)`` event.
+
+    The job boundary both executors share: a return value becomes
+    ``("done", {"result": value})``, :class:`JobCancelledError`
+    ``cancelled`` and any other exception ``failed``, each with the
+    message in ``data["error"]``.
+
+    Examples
+    --------
+    >>> job_outcome("job-000001", "", lambda: {"ok": True})
+    ('done', {'result': {'ok': True}})
+    >>> job_outcome("job-000001", "", lambda: 1 / 0)
+    ('failed', {'error': 'ZeroDivisionError: division by zero'})
+    """
+    try:
+        with telemetry.get_tracer().trace(trace_id or job_id):
+            return "done", {"result": body()}
+    except JobCancelledError as error:
+        return "cancelled", {"error": str(error) or "cancelled"}
+    except Exception as error:  # noqa: BLE001 - job boundary
+        return "failed", {"error": f"{type(error).__name__}: {error}"}
+
+
 class JobQueue:
-    """Thread-pool job queue with coalescing, polling, and cancellation.
+    """Job queue with coalescing, admission, polling, and cancellation.
 
     Parameters
     ----------
-    runner:
-        ``runner(job) -> dict`` executed on a worker thread; its return
-        value becomes ``job.result``.  Raising
-        :class:`JobCancelledError` marks the job ``cancelled``; any
-        other exception marks it ``failed`` with the message recorded.
-    workers:
-        Executor thread count — the number of clustering jobs that run
-        concurrently.
+    executor:
+        Runs the dispatched jobs: a :class:`ThreadExecutor` or a
+        :class:`~repro.service.workers.WorkerPool` (see the module
+        docstring for the executor operations).
     retain:
         How many *terminal* jobs to keep for result retrieval; the
         oldest (by job id, deterministically) are pruned beyond this.
     """
 
-    def __init__(self, runner: Callable[[Job], dict], *, workers: int = 2,
-                 retain: int = 256):
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
+    def __init__(self, executor, *, retain: int = 256):
         if retain <= 0:
             raise ValueError(f"retain must be positive, got {retain}")
-        self._runner = runner
-        self.workers = int(workers)
+        self.executor = executor
         self._retain = int(retain)
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
-        self._futures: dict[str, object] = {}
         self._inflight: dict[str, str] = {}  # canonical key -> job id
         self._ids = itertools.count(1)
         self._active = 0  # queued + running (mirrors the depth gauge)
         self._client_active: Counter[str] = Counter()
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-job"
-        )
+        self._closed = False
+        executor.start(self.apply)
+
+    @property
+    def workers(self) -> int:
+        """How many jobs the executor runs concurrently."""
+        return self.executor.workers
 
     def submit(self, params: dict, *, key_suffix: str = "",
                context: object = None, client: str = "", trace_id: str = "",
@@ -290,7 +319,7 @@ class JobQueue:
         coalescing key with identity the params alone cannot carry (the
         service passes the graph-registry revision, so jobs against a
         re-uploaded graph never coalesce across contents); ``context``
-        is attached to the job for the runner; ``client`` is the
+        is attached to the job for the executor; ``client`` is the
         submitting client's admission identity.
 
         ``admit`` (if given) is called under the queue lock with a
@@ -298,9 +327,12 @@ class JobQueue:
         before a *new* job is created; raising
         :class:`~repro.exceptions.ServiceError` from it rejects the
         submission race-free.  Coalesced submissions skip the check.
+        After :meth:`shutdown` every submission is rejected 503.
         """
         key = canonical_key(params) + (f"#{key_suffix}" if key_suffix else "")
         with self._lock:
+            if self._closed:
+                raise ServiceError("job queue is shut down", status=503)
             existing_id = self._inflight.get(key)
             if existing_id is not None:
                 job = self._jobs[existing_id]
@@ -311,7 +343,10 @@ class JobQueue:
                 admit(self._snapshot_locked(client))
             job = Job(id=f"job-{next(self._ids):06d}", key=key, params=dict(params),
                       context=context, client=client, trace_id=trace_id)
-            job.add_event("queued", {"params": job.params})
+            # The executor's events wait on this lock, so "queued" is
+            # always the first event even if the job starts at once.
+            placement = self.executor.dispatch(job)
+            job.add_event("queued", {"params": job.params, **placement})
             self._jobs[job.id] = job
             self._inflight[key] = job.id
             if client:
@@ -320,7 +355,6 @@ class JobQueue:
             self._active += 1
             _QUEUE_DEPTH.set(self._active)
             self._prune_locked()
-            self._futures[job.id] = self._executor.submit(self._run, job)
         return job, False
 
     def _snapshot_locked(self, client: str) -> dict:
@@ -348,68 +382,90 @@ class JobQueue:
     def active_count(self) -> int:
         """Number of non-terminal jobs (queued + running)."""
         with self._lock:
-            return sum(
-                1 for job in self._jobs.values() if job.status not in TERMINAL_STATES
-            )
+            return self._active
 
     def cancel(self, job_id: str) -> Job:
         """Cancel ``job_id``; terminal jobs are left untouched.
 
-        A queued job is marked ``cancelled`` synchronously; a running
-        one only after its worker observes the event at the next
-        ``cancel_check``, so callers may still see ``running`` briefly.
-        Either way the job stops being a coalescing target immediately
-        — a fresh identical submission gets a fresh job rather than
-        latching onto one that is doomed to finish ``cancelled``.
+        A job that has not started may end ``cancelled`` synchronously
+        (thread executor) or when a worker dequeues it; a running one
+        ends at its next ``cancel_check``, so callers may still see
+        ``queued``/``running`` briefly.  Either way the job stops being
+        a coalescing target immediately — a fresh identical submission
+        gets a fresh job rather than latching onto one that is doomed
+        to finish ``cancelled``.
         """
         job = self.get(job_id)
         with self._lock:
             if job.status in TERMINAL_STATES:
                 return job
-            job.cancel_event.set()
-            if self._inflight.get(job.key) == job.id:
-                del self._inflight[job.key]
-            future = self._futures.get(job_id)
-            if future is not None and future.cancel():
-                self._finish_locked(job, "cancelled", error="cancelled before start")
+            self._withdraw_locked(job)
+        self.executor.cancel(job)
         return job
 
     def shutdown(self) -> None:
-        """Cancel queued jobs and wait for running ones to finish."""
-        with self._lock:
-            jobs = list(self._jobs.values())
-        for job in jobs:
-            if job.status not in TERMINAL_STATES:
-                self.cancel(job.id)
-        self._executor.shutdown(wait=True, cancel_futures=True)
+        """Reject new jobs, cancel outstanding ones, stop the executor.
 
-    # ------------------------------------------------------------------
-    # Worker side
-    # ------------------------------------------------------------------
-
-    def _run(self, job: Job) -> None:
+        Jobs still non-terminal once the executor has stopped are
+        marked ``cancelled`` so no client polls forever.
+        """
         with self._lock:
-            if job.status != "queued":  # cancelled between submit and start
+            if self._closed:
                 return
-            if job.cancel_event.is_set():
-                self._finish_locked(job, "cancelled", error="cancelled before start")
-                return
-            job.status = "running"
-            job.started_at = time.time()
-        job.add_event("running")
-        try:
-            with telemetry.get_tracer().trace(job.trace_id or job.id):
-                result = self._runner(job)
-        except JobCancelledError as error:
-            with self._lock:
-                self._finish_locked(job, "cancelled", error=str(error) or "cancelled")
-        except Exception as error:  # noqa: BLE001 - job boundary
-            with self._lock:
-                self._finish_locked(job, "failed", error=f"{type(error).__name__}: {error}")
-        else:
-            with self._lock:
-                job.result = result
-                self._finish_locked(job, "done")
+            self._closed = True
+            outstanding = [
+                job for job in self._jobs.values() if job.status not in TERMINAL_STATES
+            ]
+            for job in outstanding:
+                self._withdraw_locked(job)
+        for job in outstanding:
+            self.executor.cancel(job)
+        self.executor.shutdown()
+        with self._lock:
+            for job in self._jobs.values():
+                if job.status not in TERMINAL_STATES:
+                    self._finish_locked(job, "cancelled", error="cancelled at shutdown")
+
+    def apply(self, job_id: str, kind: str, data: dict | None = None) -> bool:
+        """Apply one executor event to ``job_id``: the only job transition.
+
+        ``kind`` is ``running`` (taken only from ``queued``),
+        ``progress`` (appended to the event log), or a terminal
+        ``done`` (``data["result"]`` becomes the result), ``failed`` or
+        ``cancelled`` (``data["error"]`` is recorded).  Events for
+        pruned or already-terminal jobs are dropped — e.g. a worker
+        still reporting on a job cancelled at shutdown.  Returns
+        whether the event was applied.
+        """
+        data = data or {}
+        with self._lock:
+            job = self._jobs.get(job_id)
+            if job is None or job.status in TERMINAL_STATES:
+                return False
+            if kind == "running":
+                if job.status != "queued":
+                    return False
+                job.status = "running"
+                job.started_at = time.time()
+                job.add_event("running", data)
+            elif kind == "progress":
+                job.add_event("progress", data)
+            else:
+                if kind == "done":
+                    job.result = data["result"]
+                self._finish_locked(job, kind, error=data.get("error"))
+        return True
+
+    def _withdraw_locked(self, job: Job) -> None:
+        """Flag ``job`` cancelled and stop coalescing onto it."""
+        job.cancel_event.set()
+        self._release_key_locked(job)
+
+    def _release_key_locked(self, job: Job) -> None:
+        # Only this job's own entry: after a cancel, a fresh identical
+        # job may already own the key.
+        if self._inflight.get(job.key) == job.id:
+            del self._inflight[job.key]
 
     def _finish_locked(self, job: Job, status: str, *, error: str | None = None) -> None:
         job.status = status
@@ -417,9 +473,7 @@ class JobQueue:
         job.finished_at = time.time()
         if job.started_at is None:
             job.started_at = job.finished_at
-        if self._inflight.get(job.key) == job.id:
-            del self._inflight[job.key]
-        self._futures.pop(job.id, None)
+        self._release_key_locked(job)
         if job.client:
             self._client_active[job.client] -= 1
             if self._client_active[job.client] <= 0:
@@ -443,3 +497,59 @@ class JobQueue:
         excess = len(terminal) - self._retain
         for job in terminal[:max(excess, 0)]:
             del self._jobs[job.id]
+
+
+class ThreadExecutor:
+    """Executor running ``runner(job) -> dict`` on a thread pool.
+
+    Cancel is cooperative through ``job.cancel_event``, which the
+    runner's ``cancel_check`` polls; a job cancelled before a thread
+    picks it up ends ``cancelled`` without running.
+
+    Parameters
+    ----------
+    runner:
+        Executed on a pool thread; its return value becomes
+        ``job.result``.  Raising :class:`JobCancelledError` marks the
+        job ``cancelled``; any other exception marks it ``failed``
+        with the message recorded.
+    workers:
+        Pool thread count — the number of jobs that run concurrently.
+    """
+
+    def __init__(self, runner: Callable[[Job], dict], *, workers: int = 2):
+        if workers <= 0:
+            raise ValueError(f"workers must be positive, got {workers}")
+        self.runner = runner
+        self.workers = int(workers)
+        self._apply: Callable[..., bool] | None = None
+        self._futures: dict[str, Future] = {}
+        self._pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-job")
+
+    def start(self, apply: Callable[..., bool]) -> None:
+        self._apply = apply
+
+    def dispatch(self, job: Job) -> dict:
+        self._futures[job.id] = self._pool.submit(self._run, job)
+        return {}
+
+    def cancel(self, job: Job) -> None:
+        future = self._futures.pop(job.id, None)
+        if future is not None and future.cancel():
+            self._apply(job.id, "cancelled", {"error": "cancelled before start"})
+
+    def shutdown(self) -> None:
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def _run(self, job: Job) -> None:
+        # Every branch goes through apply, which waits for the
+        # submitting thread's queue lock — so dispatch has stored the
+        # future before the finally clause can drop it.
+        try:
+            if job.cancel_event.is_set():
+                self._apply(job.id, "cancelled", {"error": "cancelled before start"})
+            elif self._apply(job.id, "running"):
+                self._apply(job.id, *job_outcome(job.id, job.trace_id,
+                                                 lambda: self.runner(job)))
+        finally:
+            self._futures.pop(job.id, None)

@@ -1,12 +1,13 @@
 """Multi-process job execution for the clustering service.
 
-The thread-pool :class:`~repro.service.jobs.JobQueue` keeps every job
-inside the service process, where the GIL serializes the numpy-light
-parts of mcp/acp — one heavy job starves the rest.  This module scales
-the service *horizontally*: a front-door asyncio process keeps the HTTP
-listener, graph registry, and admission control, and dispatches
-clustering jobs to N spawned **worker processes**
-(:class:`WorkerPool`), each holding its own
+The thread executor (:class:`~repro.service.jobs.ThreadExecutor`)
+keeps every job inside the service process, where the GIL serializes
+the numpy-light parts of mcp/acp — one heavy job starves the rest.
+This module scales the service *horizontally*: a front-door asyncio
+process keeps the HTTP listener, graph registry, admission control and
+the :class:`~repro.service.jobs.JobQueue` core, and its
+:class:`WorkerPool` executor dispatches jobs to N spawned **worker
+processes**, each holding its own
 :class:`~repro.service.cache.OracleCache` over the *same* on-disk
 :class:`~repro.sampling.store.WorldStore` — the flock append protocol
 makes concurrent writers safe, so two workers cold-sampling one digest
@@ -14,26 +15,28 @@ converge on a single consistent pool.
 
 Routing (the cross-process coalescing ledger)
     Identical in-flight submissions are already coalesced by the
-    front door (one :class:`Job` per canonical key).  On top of that,
-    the pool keeps an LRU *affinity ledger* mapping a job's world-pool
-    identity ``(graph, revision, seed, backend, chunk_size)`` to the
-    worker that last served it, so repeat jobs land on the worker whose
-    in-memory cache is already warm — zero sampling, bit-identical
-    labels — instead of warming N caches.
+    queue core (one :class:`~repro.service.jobs.Job` per canonical
+    key).  On top of that, the pool keeps an LRU *affinity ledger*
+    mapping a job's world-pool identity ``(graph, revision, seed,
+    backend, chunk_size)`` to the worker that last served it, so repeat
+    jobs land on the worker whose in-memory cache is already warm —
+    zero sampling, bit-identical labels — instead of warming N caches.
 
 Cancellation
     Workers poll a per-job *cancel flag file* in the pool's spool
-    directory from the ``cancel_check`` hook; the front door creates
-    the file on ``DELETE /v1/jobs/{id}``.  This is the cross-process
-    analogue of the in-process ``threading.Event``.
+    directory from the ``cancel_check`` hook (and once before a job
+    starts); the pool creates the file when the queue cancels the job.
+    This is the cross-process analogue of the in-process
+    ``threading.Event``.
 
 Events
     Workers push ``running`` / ``progress`` / terminal events onto one
-    shared queue; a drainer thread in the front door applies them to
-    the :class:`Job` records, which the SSE endpoint then streams.
+    shared queue; a drainer thread in the front door hands them to
+    :meth:`JobQueue.apply <repro.service.jobs.JobQueue.apply>`, which
+    the SSE endpoint then streams.
 
 :func:`execute_clustering` is the single clustering runner shared by
-both execution models, so thread mode and process mode cannot drift.
+both executors, so thread mode and process mode cannot drift.
 """
 
 from __future__ import annotations
@@ -53,20 +56,9 @@ from repro.baselines.gmm import gmm_clustering
 from repro.baselines.mcl import mcl_clustering
 from repro.core.acp import acp_clustering
 from repro.core.mcp import mcp_clustering
-from repro.exceptions import JobCancelledError, ServiceError
+from repro.exceptions import JobCancelledError
 from repro.sampling.sizes import PracticalSchedule
-from repro.service.jobs import (
-    _JOB_SECONDS,
-    _JOBS_COALESCED,
-    _JOBS_COMPLETED,
-    _JOBS_SUBMITTED,
-    _QUEUE_DEPTH,
-    TERMINAL_STATES,
-    Job,
-    _algorithm_of,
-    canonical_key,
-    job_number,
-)
+from repro.service.jobs import TERMINAL_STATES, Job, canonical_key, job_outcome
 from repro.workloads import (
     expected_centrality,
     kcenter_clustering,
@@ -149,13 +141,12 @@ def execute_clustering(job_id: str, params: dict, graph, ancestors, cache, *,
     payload = {"job": job_id, "algorithm": algorithm, "graph": params["graph"]}
     with telemetry.get_tracer().span("job", job=job_id, algorithm=algorithm,
                                      graph=params["graph"]):
-        payload.update(_execute_algorithm(
-            job_id, algorithm, params, graph, ancestors, cache,
+        fields, phases, stats = _execute_algorithm(
+            algorithm, params, graph, ancestors, cache,
             sampling_workers=sampling_workers,
             cancel_check=cancel_check, progress=progress,
-        ))
-        phases = payload.pop("_phases", None)
-        stats = payload.pop("_stats", None)
+        )
+        payload.update(fields)
     if cancel_check is not None:
         cancel_check()
     total_s = time.perf_counter() - started
@@ -164,141 +155,87 @@ def execute_clustering(job_id: str, params: dict, graph, ancestors, cache, *,
     return payload
 
 
-def _execute_algorithm(job_id: str, algorithm: str, params: dict, graph,
-                       ancestors, cache, *, sampling_workers, cancel_check,
-                       progress) -> dict:
+def _execute_algorithm(algorithm: str, params: dict, graph, ancestors, cache, *,
+                       sampling_workers, cancel_check, progress) -> tuple:
     """The per-algorithm body of :func:`execute_clustering`.
 
-    Returns the algorithm's payload fields plus the private
-    ``_phases``/``_stats`` keys (this job's oracle phase timings and
-    world accounting) that the caller folds into ``timings``.
+    Returns ``(fields, phases, stats)``: the algorithm's payload fields,
+    plus this job's oracle phase timings and world accounting (both
+    ``None`` for mcl/gmm, which sample no worlds) that the caller folds
+    into ``timings``.  Every pool-backed algorithm shares one oracle
+    lease and the ``seed``/``samples_used``/world-accounting fields;
+    only the driver call and its own fields differ.
     """
-    payload = {}
-    phases = stats = None
-    if algorithm in ("mcp", "acp"):
-        schedule = PracticalSchedule(max_samples=params["samples"])
-        with cache.lease(
-            graph,
-            seed=params["seed"],
-            chunk_size=params["chunk_size"],
-            max_samples=MAX_REQUEST_SAMPLES,
-            backend=params["backend"],
-            workers=sampling_workers,
-            ancestors=ancestors,
-        ) as oracle:
-            run = mcp_clustering if algorithm == "mcp" else acp_clustering
-            result = run(
-                None,
-                params["k"],
-                oracle=oracle,
-                seed=params["seed"],
-                depth=params["depth"],
-                sample_schedule=schedule,
-                cancel_check=cancel_check,
-                progress=progress,
-            )
-            stats = oracle.cache_stats
-            phases = oracle.phase_timings
-        clustering = result.clustering
-        payload.update(
-            k=params["k"],
-            seed=params["seed"],
-            q_final=result.q_final,
-            samples_used=result.samples_used,
-            n_guesses=result.n_guesses,
-            worlds_cached=stats["worlds_cached"],
-            worlds_sampled=stats["worlds_sampled"],
-            warm=stats["worlds_sampled"] == 0 and stats["worlds_cached"] > 0,
-            pool_digest=oracle.pool_digest,
-        )
-        if algorithm == "mcp":
-            payload["min_prob"] = result.min_prob_estimate
-            payload["covers_all"] = result.covers_all
-        else:
-            payload["avg_prob"] = result.avg_prob_estimate
-            payload["phi_best"] = result.phi_best
-    elif algorithm in ("kmedian", "kcenter"):
-        with cache.lease(
-            graph,
-            seed=params["seed"],
-            chunk_size=params["chunk_size"],
-            max_samples=MAX_REQUEST_SAMPLES,
-            backend=params["backend"],
-            workers=sampling_workers,
-            ancestors=ancestors,
-        ) as oracle:
-            run = kmedian_clustering if algorithm == "kmedian" else kcenter_clustering
-            result = run(
-                None,
-                params["k"],
-                oracle=oracle,
-                samples=params["samples"],
-                cancel_check=cancel_check,
-                progress=progress,
-            )
-            stats = oracle.cache_stats
-            phases = oracle.phase_timings
-        clustering = result.clustering
-        payload.update(
-            k=params["k"],
-            seed=params["seed"],
-            objective=result.objective,
-            samples_used=result.samples_used,
-            n_rounds=result.n_rounds,
-            worlds_cached=stats["worlds_cached"],
-            worlds_sampled=stats["worlds_sampled"],
-            warm=stats["worlds_sampled"] == 0 and stats["worlds_cached"] > 0,
-            pool_digest=oracle.pool_digest,
-        )
-    elif algorithm == "centrality":
-        with cache.lease(
-            graph,
-            seed=params["seed"],
-            chunk_size=params["chunk_size"],
-            max_samples=MAX_REQUEST_SAMPLES,
-            backend=params["backend"],
-            workers=sampling_workers,
-            ancestors=ancestors,
-        ) as oracle:
-            result = expected_centrality(
-                None,
-                measure=params["measure"],
-                oracle=oracle,
-                samples=params["samples"],
-                tol=params["tol"],
-                cancel_check=cancel_check,
-                progress=progress,
-            )
-            stats = oracle.cache_stats
-            phases = oracle.phase_timings
-        clustering = None
-        payload.update(
-            measure=params["measure"],
-            seed=params["seed"],
-            tol=params["tol"],
-            values=np.asarray(result.values, dtype=float).tolist(),
-            half_width=result.half_width,
-            converged=result.converged,
-            samples_used=result.samples_used,
-            n_rounds=result.n_rounds,
-            worlds_cached=stats["worlds_cached"],
-            worlds_sampled=stats["worlds_sampled"],
-            warm=stats["worlds_sampled"] == 0 and stats["worlds_cached"] > 0,
-            pool_digest=oracle.pool_digest,
-        )
-    elif algorithm == "mcl":
+    phases = stats = clustering = None
+    hooks = {"cancel_check": cancel_check, "progress": progress}
+    if algorithm == "mcl":
         result = mcl_clustering(graph, inflation=params["inflation"])
         clustering = result.clustering
-        payload.update(inflation=params["inflation"], n_clusters=result.n_clusters)
-    else:  # gmm
+        fields = {"inflation": params["inflation"], "n_clusters": result.n_clusters}
+    elif algorithm == "gmm":
         clustering = gmm_clustering(graph, params["k"], seed=params["seed"])
-        payload.update(k=params["k"], seed=params["seed"])
+        fields = {"k": params["k"], "seed": params["seed"]}
+    else:
+        with cache.lease(
+            graph,
+            seed=params["seed"],
+            chunk_size=params["chunk_size"],
+            max_samples=MAX_REQUEST_SAMPLES,
+            backend=params["backend"],
+            workers=sampling_workers,
+            ancestors=ancestors,
+        ) as oracle:
+            if algorithm in ("mcp", "acp"):
+                run = mcp_clustering if algorithm == "mcp" else acp_clustering
+                result = run(
+                    None, params["k"], oracle=oracle, seed=params["seed"],
+                    depth=params["depth"],
+                    sample_schedule=PracticalSchedule(max_samples=params["samples"]),
+                    **hooks,
+                )
+                clustering = result.clustering
+                fields = {"k": params["k"], "q_final": result.q_final,
+                          "n_guesses": result.n_guesses}
+                if algorithm == "mcp":
+                    fields.update(min_prob=result.min_prob_estimate,
+                                  covers_all=result.covers_all)
+                else:
+                    fields.update(avg_prob=result.avg_prob_estimate,
+                                  phi_best=result.phi_best)
+            elif algorithm in ("kmedian", "kcenter"):
+                run = kmedian_clustering if algorithm == "kmedian" else kcenter_clustering
+                result = run(None, params["k"], oracle=oracle,
+                             samples=params["samples"], **hooks)
+                clustering = result.clustering
+                fields = {"k": params["k"], "objective": result.objective,
+                          "n_rounds": result.n_rounds}
+            else:  # centrality
+                result = expected_centrality(
+                    None, measure=params["measure"], oracle=oracle,
+                    samples=params["samples"], tol=params["tol"], **hooks,
+                )
+                fields = {
+                    "measure": params["measure"],
+                    "tol": params["tol"],
+                    "values": np.asarray(result.values, dtype=float).tolist(),
+                    "half_width": result.half_width,
+                    "converged": result.converged,
+                    "n_rounds": result.n_rounds,
+                }
+            stats = oracle.cache_stats
+            phases = oracle.phase_timings
+        fields.update(
+            seed=params["seed"],
+            samples_used=result.samples_used,
+            worlds_cached=stats["worlds_cached"],
+            worlds_sampled=stats["worlds_sampled"],
+            warm=stats["worlds_sampled"] == 0 and stats["worlds_cached"] > 0,
+            pool_digest=oracle.pool_digest,
+        )
     if clustering is not None:
-        payload["assignment"] = np.asarray(clustering.assignment).astype(int).tolist()
-        payload["centers"] = np.asarray(clustering.centers).astype(int).tolist()
-    payload["_phases"] = phases
-    payload["_stats"] = stats
-    return payload
+        fields["assignment"] = np.asarray(clustering.assignment).astype(int).tolist()
+        fields["centers"] = np.asarray(clustering.centers).astype(int).tolist()
+    return fields, phases, stats
 
 
 @dataclass(frozen=True)
@@ -314,22 +251,25 @@ class WorkerConfig:
     trace_log: str | None = None
 
 
-def pool_affinity_key(params: dict, key_suffix: str) -> str:
+def pool_affinity_key(job: Job) -> str:
     """The world-pool identity a job's oracle lease resolves to.
 
     Jobs with equal keys reuse one sampled pool, so the router sends
-    them to the same worker.  ``key_suffix`` carries the graph-registry
-    revision (as in the coalescing key), so mutated graphs get fresh
+    them to the same worker.  The key carries the coalescing key's
+    suffix (the graph-registry revision), so mutated graphs get fresh
     affinity.  mcl/gmm jobs sample no worlds; their key still routes
     repeats of the same graph together, which is harmless.
     """
+    params = job.params
     identity = {
         "graph": params.get("graph"),
         "seed": params.get("seed"),
         "backend": params.get("backend"),
         "chunk_size": params.get("chunk_size"),
     }
-    return canonical_key(identity) + f"#{key_suffix}"
+    # job.key is canonical_key(params) plus "#<suffix>" when submitted
+    # with one.
+    return canonical_key(identity) + job.key[len(canonical_key(params)):]
 
 
 def _worker_main(worker_id: int, tasks, events, config: WorkerConfig) -> None:
@@ -340,7 +280,9 @@ def _worker_main(worker_id: int, tasks, events, config: WorkerConfig) -> None:
     protocol makes the concurrent writes safe), then executes tasks
     ``(job_id, params, graph, ancestors, trace_id)`` off ``tasks``
     until the ``None`` sentinel, reporting lifecycle and progress
-    events on ``events`` as ``(job_id, kind, data)``.
+    events on ``events`` as ``(job_id, kind, data)``.  A job whose
+    cancel flag already exists when it is dequeued ends ``cancelled``
+    without a ``running`` event, as under the thread executor.
 
     Telemetry: the worker's own registry accumulates every counter the
     instrumented layers touch; after each job the movement since the
@@ -362,54 +304,47 @@ def _worker_main(worker_id: int, tasks, events, config: WorkerConfig) -> None:
     registry = telemetry.get_registry()
     registry.take_delta()  # baseline: don't re-ship pre-fork/import counts
 
-    def ship_metrics() -> None:
+    def run(job_id, params, graph, ancestors, trace_id) -> tuple[str, dict]:
+        cancel_path = os.path.join(config.spool_dir, f"{job_id}.cancel")
+        if os.path.exists(cancel_path):
+            return "cancelled", {"error": "cancelled before start"}
+
+        def cancel_check() -> None:
+            if os.path.exists(cancel_path):
+                raise JobCancelledError(f"job {job_id} cancelled")
+
+        def progress(data) -> None:
+            events.put((job_id, "progress", data))
+
+        events.put((job_id, "running", {"worker": worker_id}))
+        kind, data = job_outcome(job_id, trace_id, lambda: execute_clustering(
+            job_id, params, graph, ancestors, cache,
+            sampling_workers=config.sampling_workers,
+            cancel_check=cancel_check, progress=progress,
+        ))
         delta = registry.take_delta()
         if delta["counters"] or delta["histograms"]:
             events.put((None, "metrics", delta))
+        if kind == "done":
+            data["worker"] = worker_id
+        return kind, data
 
     events.put((None, "ready", {"worker": worker_id}))
     while True:
         task = tasks.get()
         if task is None:
             break
-        job_id, params, graph, ancestors, trace_id = task
-        cancel_path = os.path.join(config.spool_dir, f"{job_id}.cancel")
-
-        def cancel_check(path=cancel_path, job=job_id) -> None:
-            if os.path.exists(path):
-                raise JobCancelledError(f"job {job} cancelled")
-
-        def progress(data, job=job_id) -> None:
-            events.put((job, "progress", data))
-
-        events.put((job_id, "running", {"worker": worker_id}))
-        try:
-            with telemetry.get_tracer().trace(trace_id or job_id):
-                result = execute_clustering(
-                    job_id, params, graph, ancestors, cache,
-                    sampling_workers=config.sampling_workers,
-                    cancel_check=cancel_check, progress=progress,
-                )
-        except JobCancelledError as error:
-            ship_metrics()
-            events.put((job_id, "cancelled", {"error": str(error) or "cancelled"}))
-        except Exception as error:  # noqa: BLE001 - job boundary
-            ship_metrics()
-            events.put((job_id, "failed", {"error": f"{type(error).__name__}: {error}"}))
-        else:
-            ship_metrics()
-            events.put((job_id, "done", {"result": result, "worker": worker_id}))
+        kind, data = run(*task)
+        events.put((task[0], kind, data))
 
 
-class ProcessJobQueue:
-    """Job queue dispatching to spawned worker processes.
+class WorkerPool:
+    """Executor dispatching jobs to spawned worker processes.
 
-    API-compatible with :class:`~repro.service.jobs.JobQueue` (submit /
-    get / list / cancel / shutdown / active_count), so
-    :class:`~repro.service.app.ClusterService` treats the two
-    interchangeably.  Jobs are routed per-worker through the affinity
-    ledger (see the module docstring); each worker has a private task
-    queue so affinity is preserved even under contention.
+    Jobs are routed per worker through the affinity ledger (see the
+    module docstring); each worker has a private task queue so affinity
+    is preserved even under contention.  The queued event of every job
+    names its ``worker``.
 
     A worker that dies hard (segfault, OOM kill) takes its queued jobs
     with it — they stay ``running``/``queued`` until shutdown cancels
@@ -428,9 +363,6 @@ class ProcessJobQueue:
         Per-worker oracle-cache budget.
     sampling_workers:
         Sampling parallelism inside each worker's oracles.
-    retain:
-        Terminal jobs kept for result retrieval (as in
-        :class:`~repro.service.jobs.JobQueue`).
     trace_log:
         Span-log path handed to every worker process (``None`` disables
         tracing in the workers).
@@ -438,32 +370,32 @@ class ProcessJobQueue:
 
     def __init__(self, *, workers: int = 2, world_cache=None,
                  cache_bytes: int = 256 << 20, sampling_workers=1,
-                 retain: int = 256, trace_log: str | None = None):
-        import multiprocessing as mp
-
+                 trace_log: str | None = None):
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
-        if retain <= 0:
-            raise ValueError(f"retain must be positive, got {retain}")
         self.workers = int(workers)
-        self._retain = int(retain)
+        self._world_cache = None if world_cache is None else str(world_cache)
+        self._cache_bytes = int(cache_bytes)
+        self._sampling_workers = sampling_workers
+        self._trace_log = None if trace_log is None else str(trace_log)
         self._lock = threading.Lock()
-        self._jobs: dict[str, Job] = {}
-        self._inflight: dict[str, str] = {}  # canonical key -> job id
-        self._client_active: dict[str, int] = {}
-        self._next_id = 1
-        self._spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
         self._ledger: OrderedDict[str, int] = OrderedDict()
         self._load = [0] * self.workers  # outstanding jobs per worker
-        self._closed = False
+        self._assigned: dict[str, int] = {}  # job id -> worker id
 
+    def start(self, apply) -> None:
+        """Spawn the worker processes and the event drainer."""
+        import multiprocessing as mp
+
+        self._apply = apply
+        self._spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
         ctx = mp.get_context("spawn")
         config = WorkerConfig(
-            world_cache=None if world_cache is None else str(world_cache),
-            cache_bytes=int(cache_bytes),
-            sampling_workers=sampling_workers,
+            world_cache=self._world_cache,
+            cache_bytes=self._cache_bytes,
+            sampling_workers=self._sampling_workers,
             spool_dir=self._spool_dir,
-            trace_log=None if trace_log is None else str(trace_log),
+            trace_log=self._trace_log,
         )
         self._events = ctx.Queue()
         self._tasks = [ctx.Queue() for _ in range(self.workers)]
@@ -483,56 +415,21 @@ class ProcessJobQueue:
         )
         self._drainer.start()
 
-    # ------------------------------------------------------------------
-    # Front-door API (mirrors JobQueue)
-    # ------------------------------------------------------------------
-
-    def submit(self, params: dict, *, key_suffix: str = "",
-               context: object = None, client: str = "", trace_id: str = "",
-               admit=None) -> tuple[Job, bool]:
-        """Enqueue ``params`` or coalesce onto an identical in-flight job.
-
-        Semantics match :meth:`repro.service.jobs.JobQueue.submit`
-        (coalescing, ``admit`` under the lock for new jobs only); the
-        job is dispatched to the worker the affinity ledger selects.
-        """
-        key = canonical_key(params) + (f"#{key_suffix}" if key_suffix else "")
-        if isinstance(context, tuple):
-            graph, ancestors = context
-        else:
-            graph, ancestors = context, ()
+    def dispatch(self, job: Job) -> dict:
+        """Send ``job`` to the worker the affinity ledger selects."""
+        graph, ancestors = job.context
         with self._lock:
-            if self._closed:
-                raise ServiceError("job queue is shut down", status=503)
-            existing_id = self._inflight.get(key)
-            if existing_id is not None:
-                job = self._jobs[existing_id]
-                job.coalesced += 1
-                _JOBS_COALESCED.labels(algorithm=_algorithm_of(params)).inc()
-                return job, True
-            if admit is not None:
-                admit(self._snapshot_locked(client))
-            job = Job(id=f"job-{self._next_id:06d}", key=key, params=dict(params),
-                      context=context, client=client, trace_id=trace_id)
-            self._next_id += 1
-            worker_id = self._route_locked(params, key_suffix)
-            job.add_event("queued", {"params": job.params, "worker": worker_id})
-            self._jobs[job.id] = job
-            self._inflight[key] = job.id
+            worker_id = self._route_locked(job)
             self._load[worker_id] += 1
-            if client:
-                self._client_active[client] = self._client_active.get(client, 0) + 1
-            _JOBS_SUBMITTED.labels(algorithm=_algorithm_of(params)).inc()
-            _QUEUE_DEPTH.set(sum(self._load))
-            self._prune_locked()
-            self._tasks[worker_id].put(
-                (job.id, params, graph, ancestors, trace_id or job.id)
-            )
-        return job, False
+            self._assigned[job.id] = worker_id
+        self._tasks[worker_id].put(
+            (job.id, job.params, graph, ancestors, job.trace_id or job.id)
+        )
+        return {"worker": worker_id}
 
-    def _route_locked(self, params: dict, key_suffix: str) -> int:
+    def _route_locked(self, job: Job) -> int:
         """Pick a worker: ledger affinity first, least-loaded otherwise."""
-        affinity = pool_affinity_key(params, key_suffix)
+        affinity = pool_affinity_key(job)
         worker_id = self._ledger.get(affinity)
         if worker_id is None:
             worker_id = min(range(self.workers), key=lambda w: self._load[w])
@@ -542,87 +439,23 @@ class ProcessJobQueue:
             self._ledger.popitem(last=False)
         return worker_id
 
-    def _snapshot_locked(self, client: str) -> dict:
-        queued = running = 0
-        for job in self._jobs.values():
-            if job.status == "queued":
-                queued += 1
-            elif job.status == "running":
-                running += 1
-        return {
-            "queued": queued,
-            "running": running,
-            "client_active": self._client_active.get(client, 0) if client else 0,
-            "workers": self.workers,
-        }
-
-    def get(self, job_id: str) -> Job:
-        """The job with ``job_id``, or a 404 :class:`ServiceError`."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise ServiceError(f"no such job: {job_id}", status=404)
-        return job
-
-    def list(self) -> list[Job]:
-        """All retained jobs, in submission (job id) order."""
-        with self._lock:
-            return sorted(self._jobs.values(), key=lambda job: job_number(job.id))
-
-    def active_count(self) -> int:
-        """Number of non-terminal jobs (queued + running)."""
-        with self._lock:
-            return sum(
-                1 for job in self._jobs.values() if job.status not in TERMINAL_STATES
-            )
-
-    def cancel(self, job_id: str) -> Job:
-        """Cancel ``job_id`` cooperatively; terminal jobs are untouched.
-
-        Drops the cancel flag file the executing worker polls from its
-        ``cancel_check`` hook, so a queued job is cancelled when the
-        worker dequeues it and a running one at its next threshold
-        guess — callers may see ``queued``/``running`` for a short
-        while.  Coalescing against the job stops immediately.
-        """
-        job = self.get(job_id)
-        with self._lock:
-            if job.status in TERMINAL_STATES:
-                return job
-            job.cancel_event.set()
-            if self._inflight.get(job.key) == job.id:
-                del self._inflight[job.key]
-            self._write_cancel_flag(job.id)
-        return job
-
-    def _write_cancel_flag(self, job_id: str) -> None:
+    def cancel(self, job: Job) -> None:
+        """Drop the cancel flag file the executing worker polls."""
         try:
-            with open(os.path.join(self._spool_dir, f"{job_id}.cancel"), "w") as flag:
+            with open(self._flag_path(job.id), "w") as flag:
                 flag.write("cancelled\n")
         except OSError:  # pragma: no cover - spool dir removed mid-shutdown
             pass
 
-    def shutdown(self, *, grace_s: float = 5.0) -> None:
-        """Stop the pool: cancel outstanding jobs, then stop workers.
+    def _flag_path(self, job_id: str) -> str:
+        return os.path.join(self._spool_dir, f"{job_id}.cancel")
 
-        Outstanding jobs get cancel flags and the workers a ``None``
-        sentinel; workers that fail to exit within ``grace_s`` seconds
-        are terminated.  Jobs still non-terminal after that are marked
-        ``cancelled`` by the front door so no client polls forever.
+    def shutdown(self, *, grace_s: float = 5.0) -> None:
+        """Stop the workers, then the drainer.
+
+        Workers get a ``None`` sentinel; those that fail to exit within
+        ``grace_s`` seconds are terminated.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            outstanding = [
-                job for job in self._jobs.values()
-                if job.status not in TERMINAL_STATES
-            ]
-            for job in outstanding:
-                job.cancel_event.set()
-                if self._inflight.get(job.key) == job.id:
-                    del self._inflight[job.key]
-                self._write_cancel_flag(job.id)
         for tasks in self._tasks:
             tasks.put(None)
         deadline = time.monotonic() + max(grace_s, 0.0)
@@ -633,18 +466,10 @@ class ProcessJobQueue:
                 proc.join(timeout=5)
         self._events.put(None)  # stop the drainer
         self._drainer.join(timeout=5)
-        with self._lock:
-            for job in self._jobs.values():
-                if job.status not in TERMINAL_STATES:
-                    self._finish_locked(job, "cancelled", error="cancelled at shutdown")
         for queue in (*self._tasks, self._events):
             queue.close()
             queue.cancel_join_thread()
         shutil.rmtree(self._spool_dir, ignore_errors=True)
-
-    # ------------------------------------------------------------------
-    # Event drainer (front-door thread)
-    # ------------------------------------------------------------------
 
     def _drain_events(self) -> None:
         while True:
@@ -662,63 +487,17 @@ class ProcessJobQueue:
                     # GET /v1/metrics reflects the whole fleet.
                     telemetry.get_registry().merge_delta(data)
                 continue
-            with self._lock:
-                job = self._jobs.get(job_id)
-                if job is None or job.status in TERMINAL_STATES:
-                    # Pruned or already finalized (e.g. cancelled at
-                    # shutdown while the worker still reported): drop.
-                    continue
-                if kind == "running":
-                    job.status = "running"
-                    job.started_at = time.time()
-                    job.add_event("running", data)
-                elif kind == "progress":
-                    job.add_event("progress", data)
-                elif kind == "done":
-                    job.result = data["result"]
-                    self._finish_locked(job, "done")
-                elif kind in ("failed", "cancelled"):
-                    self._finish_locked(job, kind, error=data.get("error"))
+            if kind in TERMINAL_STATES:
+                self._release(job_id)
+            self._apply(job_id, kind, data)
 
-    def _finish_locked(self, job: Job, status: str, *, error: str | None = None) -> None:
-        job.status = status
-        job.error = error
-        job.finished_at = time.time()
-        if job.started_at is None:
-            job.started_at = job.finished_at
-        if self._inflight.get(job.key) == job.id:
-            del self._inflight[job.key]
-        if job.client:
-            remaining = self._client_active.get(job.client, 0) - 1
-            if remaining > 0:
-                self._client_active[job.client] = remaining
-            else:
-                self._client_active.pop(job.client, None)
-        # Free the routing load slot of the worker that ran the job.
-        worker_id = job.events[0]["data"].get("worker") if job.events else None
-        if worker_id is not None and 0 <= worker_id < self.workers:
-            self._load[worker_id] = max(self._load[worker_id] - 1, 0)
-        flag = os.path.join(self._spool_dir, f"{job.id}.cancel")
-        if os.path.exists(flag):
-            try:
-                os.unlink(flag)
-            except OSError:  # pragma: no cover
-                pass
-        algorithm = _algorithm_of(job.params)
-        _JOBS_COMPLETED.labels(algorithm=algorithm, status=status).inc()
-        _JOB_SECONDS.labels(algorithm=algorithm).observe(
-            job.finished_at - job.started_at)
-        _QUEUE_DEPTH.set(sum(self._load))
-        data = {"status": status, "error": error}
-        if isinstance(job.result, dict) and job.result.get("timings") is not None:
-            data["timings"] = job.result["timings"]
-        job.add_event(status, data)
-
-    def _prune_locked(self) -> None:
-        terminal = sorted(
-            (j for j in self._jobs.values() if j.status in TERMINAL_STATES),
-            key=lambda job: job_number(job.id),
-        )
-        excess = len(terminal) - self._retain
-        for job in terminal[:max(excess, 0)]:
-            del self._jobs[job.id]
+    def _release(self, job_id: str) -> None:
+        """Free the routing slot and cancel flag of a job its worker ended."""
+        with self._lock:
+            worker_id = self._assigned.pop(job_id, None)
+            if worker_id is not None:
+                self._load[worker_id] -= 1
+        try:
+            os.unlink(self._flag_path(job_id))
+        except FileNotFoundError:
+            pass

@@ -31,7 +31,7 @@ from repro.graph.uncertain_graph import UncertainGraph
 from repro.sampling.parallel import ParallelSampler
 from repro.sampling.sizes import PracticalSchedule
 from repro.service import BackgroundServer, ClusterService
-from repro.service.jobs import Job, JobQueue, canonical_key, paginate_jobs
+from repro.service.jobs import Job, JobQueue, ThreadExecutor, canonical_key, paginate_jobs
 
 TIMEOUT = 30.0
 
@@ -76,7 +76,7 @@ class Client:
     def wait_job(self, job_id: str) -> dict:
         deadline = time.monotonic() + TIMEOUT
         while time.monotonic() < deadline:
-            status, payload = self.request("GET", f"/jobs/{job_id}")
+            status, payload = self.request("GET", f"/v1/jobs/{job_id}")
             assert status == 200
             if payload["status"] in ("done", "failed", "cancelled"):
                 return payload
@@ -84,11 +84,11 @@ class Client:
         raise AssertionError(f"job {job_id} did not finish within {TIMEOUT}s")
 
     def run_job(self, params: dict) -> dict:
-        status, payload = self.request("POST", "/jobs", params)
+        status, payload = self.request("POST", "/v1/jobs", params)
         assert status == 202, payload
         described = self.wait_job(payload["job"])
         assert described["status"] == "done", described
-        status, result = self.request("GET", f"/jobs/{payload['job']}/result")
+        status, result = self.request("GET", f"/v1/jobs/{payload['job']}/result")
         assert status == 200
         return result
 
@@ -120,7 +120,7 @@ class TestMetaEndpoints:
     def test_healthz(self, client):
         from repro import __version__
 
-        status, payload = client.request("GET", "/healthz")
+        status, payload = client.request("GET", "/v1/healthz")
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["graphs"] == 2  # toy + lazy krogan
@@ -129,20 +129,19 @@ class TestMetaEndpoints:
         assert payload["mode"] == "thread"
         assert payload["started_at"] <= time.time()
         assert 0 <= payload["uptime_seconds"] < 300
-        assert payload["uptime_s"] == payload["uptime_seconds"]  # legacy alias
 
     def test_version_matches_package(self, client):
         from repro import __version__
 
-        assert client.request("GET", "/version") == (200, {"version": __version__})
+        assert client.request("GET", "/v1/version") == (200, {"version": __version__})
 
     def test_unknown_endpoint_404(self, client):
-        status, payload = client.request("GET", "/nope")
+        status, payload = client.request("GET", "/v1/nope")
         assert status == 404
         assert "error" in payload
 
     def test_wrong_method_405(self, client):
-        status, _ = client.request("DELETE", "/healthz")
+        status, _ = client.request("DELETE", "/v1/healthz")
         assert status == 405
 
     def test_malformed_request_line_400(self, server):
@@ -167,8 +166,8 @@ class TestMetaEndpoints:
 
     def test_keep_alive_connection_reuse(self, client):
         # Two requests through one http.client connection = keep-alive.
-        assert client.request("GET", "/healthz")[0] == 200
-        assert client.request("GET", "/version")[0] == 200
+        assert client.request("GET", "/v1/healthz")[0] == 200
+        assert client.request("GET", "/v1/version")[0] == 200
 
     def test_shutdown_not_blocked_by_idle_keepalive_connection(self):
         # Python >= 3.12.1 makes Server.wait_closed() wait for handler
@@ -178,7 +177,7 @@ class TestMetaEndpoints:
         server = BackgroundServer(svc).start()
         idle = Client(server.port)
         try:
-            assert idle.request("GET", "/healthz")[0] == 200
+            assert idle.request("GET", "/v1/healthz")[0] == 200
             begin = time.monotonic()
             server.stop()  # idle keep-alive connection still open
             assert time.monotonic() - begin < 10.0
@@ -188,7 +187,7 @@ class TestMetaEndpoints:
 
 class TestGraphEndpoints:
     def test_list_includes_builtin_and_uploaded(self, client):
-        status, payload = client.request("GET", "/graphs")
+        status, payload = client.request("GET", "/v1/graphs")
         assert status == 200
         names = {graph["name"]: graph for graph in payload["graphs"]}
         assert names["toy"]["loaded"] is True
@@ -197,7 +196,7 @@ class TestGraphEndpoints:
         assert names["krogan"]["loaded"] is False  # lazy until first use
 
     def test_stats(self, client):
-        status, payload = client.request("GET", "/graphs/toy")
+        status, payload = client.request("GET", "/v1/graphs/toy")
         assert status == 200
         assert payload["nodes"] == 6
         assert payload["edges"] == 7
@@ -206,64 +205,64 @@ class TestGraphEndpoints:
 
     def test_upload_json_edges(self, client):
         status, payload = client.request(
-            "PUT", "/graphs/uploaded", {"edges": [["a", "b", 0.5], ["b", "c", 0.75]]}
+            "PUT", "/v1/graphs/uploaded", {"edges": [["a", "b", 0.5], ["b", "c", 0.75]]}
         )
         assert (status, payload["nodes"], payload["edges"]) == (200, 3, 2)
-        status, payload = client.request("GET", "/graphs/uploaded")
+        status, payload = client.request("GET", "/v1/graphs/uploaded")
         assert status == 200 and payload["edges"] == 2
 
     def test_upload_uel_text(self, client):
         status, payload = client.request(
-            "PUT", "/graphs/text", "0 1 0.5\n1 2 0.25\n", content_type="text/plain"
+            "PUT", "/v1/graphs/text", "0 1 0.5\n1 2 0.25\n", content_type="text/plain"
         )
         assert status == 200
         assert payload == {"name": "text", "nodes": 3, "edges": 2}
 
     def test_upload_bad_probability_400_with_line(self, client):
         status, payload = client.request(
-            "PUT", "/graphs/bad", "0 1 0.5\n1 2 1.5\n", content_type="text/plain"
+            "PUT", "/v1/graphs/bad", "0 1 0.5\n1 2 1.5\n", content_type="text/plain"
         )
         assert status == 400
         assert "line 2" in payload["error"]["message"]
-        assert client.request("GET", "/graphs/bad")[0] == 404  # nothing registered
+        assert client.request("GET", "/v1/graphs/bad")[0] == 404  # nothing registered
 
     def test_upload_json_nan_probability_400(self, client):
         # json.loads accepts the NaN literal, and NaN passes from_edges's
         # range comparisons — the upload path must catch it explicitly.
         status, payload = client.request(
-            "PUT", "/graphs/bad", body='{"edges": [[0, 1, 0.5], [1, 2, NaN]]}'
+            "PUT", "/v1/graphs/bad", body='{"edges": [[0, 1, 0.5], [1, 2, NaN]]}'
         )
         assert status == 400
         assert "edge 2" in payload["error"]["message"]
         status, payload = client.request(
-            "PUT", "/graphs/bad", {"edges": [[0, 1, 1.5]]}
+            "PUT", "/v1/graphs/bad", {"edges": [[0, 1, 1.5]]}
         )
         assert status == 400
         assert "outside [0, 1]" in payload["error"]["message"]
         status, payload = client.request(
-            "PUT", "/graphs/bad", {"edges": [[0, 1, 0.5], [1, 2]]}
+            "PUT", "/v1/graphs/bad", {"edges": [[0, 1, 0.5], [1, 2]]}
         )
         assert status == 400
         assert "triple" in payload["error"]["message"]
 
     def test_upload_malformed_json_400(self, client):
-        status, payload = client.request("PUT", "/graphs/bad", body="{nope")
+        status, payload = client.request("PUT", "/v1/graphs/bad", body="{nope")
         assert status == 400
         assert "malformed JSON" in payload["error"]["message"]
 
     def test_upload_json_non_object_body_400(self, client):
-        status, payload = client.request("PUT", "/graphs/bad", [[0, 1, 0.5]])
+        status, payload = client.request("PUT", "/v1/graphs/bad", [[0, 1, 0.5]])
         assert status == 400
         assert "object" in payload["error"]["message"]
 
     def test_delete(self, client):
-        client.request("PUT", "/graphs/gone", "0 1 0.5\n", content_type="text/plain")
-        assert client.request("DELETE", "/graphs/gone")[0] == 200
-        assert client.request("GET", "/graphs/gone")[0] == 404
-        assert client.request("DELETE", "/graphs/gone")[0] == 404
+        client.request("PUT", "/v1/graphs/gone", "0 1 0.5\n", content_type="text/plain")
+        assert client.request("DELETE", "/v1/graphs/gone")[0] == 200
+        assert client.request("GET", "/v1/graphs/gone")[0] == 404
+        assert client.request("DELETE", "/v1/graphs/gone")[0] == 404
 
     def test_unknown_graph_404(self, client):
-        status, payload = client.request("GET", "/graphs/missing")
+        status, payload = client.request("GET", "/v1/graphs/missing")
         assert status == 404
         assert "no such graph" in payload["error"]["message"]
 
@@ -271,7 +270,7 @@ class TestGraphEndpoints:
 class TestEstimate:
     def test_estimate_matches_library(self, client):
         status, payload = client.request(
-            "GET", "/graphs/toy/estimate?u=0&v=1&samples=400&seed=3"
+            "GET", "/v1/graphs/toy/estimate?u=0&v=1&samples=400&seed=3"
         )
         assert status == 200
         from repro.sampling.oracle import MonteCarloOracle
@@ -281,7 +280,7 @@ class TestEstimate:
         assert payload["estimate"] == oracle.connection(0, 1)
 
     def test_estimate_warm_second_request(self, client):
-        path = "/graphs/toy/estimate?u=0&v=5&samples=300"
+        path = "/v1/graphs/toy/estimate?u=0&v=5&samples=300"
         _, cold = client.request("GET", path)
         _, warm = client.request("GET", path)
         assert cold["worlds_sampled"] == 300
@@ -291,29 +290,29 @@ class TestEstimate:
 
     def test_estimate_depth(self, client):
         status, payload = client.request(
-            "GET", "/graphs/toy/estimate?u=0&v=5&samples=200&depth=1"
+            "GET", "/v1/graphs/toy/estimate?u=0&v=5&samples=200&depth=1"
         )
         assert status == 200
         assert payload["estimate"] == 0.0  # not adjacent
 
     def test_missing_params_400(self, client):
-        status, payload = client.request("GET", "/graphs/toy/estimate?u=0")
+        status, payload = client.request("GET", "/v1/graphs/toy/estimate?u=0")
         assert status == 400
         assert "'u' and 'v'" in payload["error"]["message"]
 
     def test_unknown_node_404(self, client):
-        status, payload = client.request("GET", "/graphs/toy/estimate?u=0&v=banana")
+        status, payload = client.request("GET", "/v1/graphs/toy/estimate?u=0&v=banana")
         assert status == 404
         assert "no such node" in payload["error"]["message"]
 
     def test_bad_samples_400(self, client):
-        status, _ = client.request("GET", "/graphs/toy/estimate?u=0&v=1&samples=goose")
+        status, _ = client.request("GET", "/v1/graphs/toy/estimate?u=0&v=1&samples=goose")
         assert status == 400
 
     def test_samples_above_cap_400(self, client):
         # A request must not be able to lift the oracle's sample budget.
         status, payload = client.request(
-            "GET", "/graphs/toy/estimate?u=0&v=1&samples=2000000000"
+            "GET", "/v1/graphs/toy/estimate?u=0&v=1&samples=2000000000"
         )
         assert status == 400
         assert "samples" in payload["error"]["message"]
@@ -380,29 +379,29 @@ class TestJobs:
         assert acp["worlds_cached"] >= mcp["worlds_sampled"] > 0
 
     def test_unknown_graph_404(self, client):
-        status, payload = client.request("POST", "/jobs", {**self.PARAMS, "graph": "nope"})
+        status, payload = client.request("POST", "/v1/jobs", {**self.PARAMS, "graph": "nope"})
         assert status == 404
         assert "no such graph" in payload["error"]["message"]
 
     def test_malformed_body_400(self, client):
-        status, payload = client.request("POST", "/jobs", body="{broken")
+        status, payload = client.request("POST", "/v1/jobs", body="{broken")
         assert status == 400
         assert "malformed JSON" in payload["error"]["message"]
 
     def test_unknown_algorithm_400(self, client):
-        status, payload = client.request("POST", "/jobs", {**self.PARAMS, "algorithm": "magic"})
+        status, payload = client.request("POST", "/v1/jobs", {**self.PARAMS, "algorithm": "magic"})
         assert status == 400
         assert "algorithm" in payload["error"]["message"]
 
     def test_unknown_field_400(self, client):
-        status, payload = client.request("POST", "/jobs", {**self.PARAMS, "bogus": 1})
+        status, payload = client.request("POST", "/v1/jobs", {**self.PARAMS, "bogus": 1})
         assert status == 400
         assert "bogus" in payload["error"]["message"]
 
     def test_job_not_found_404(self, client):
-        assert client.request("GET", "/jobs/job-999999")[0] == 404
-        assert client.request("GET", "/jobs/job-999999/result")[0] == 404
-        assert client.request("DELETE", "/jobs/job-999999")[0] == 404
+        assert client.request("GET", "/v1/jobs/job-999999")[0] == 404
+        assert client.request("GET", "/v1/jobs/job-999999/result")[0] == 404
+        assert client.request("DELETE", "/v1/jobs/job-999999")[0] == 404
 
     def test_result_before_done_409(self, service, client):
         # Saturate both workers with a gate so the probe job stays queued.
@@ -414,19 +413,19 @@ class TestJobs:
                 gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
+        service.jobs.executor.runner = gated
         try:
             for seed in (101, 102):
-                client.request("POST", "/jobs", {"graph": "toy", "algorithm": "gmm",
+                client.request("POST", "/v1/jobs", {"graph": "toy", "algorithm": "gmm",
                                                  "k": 2, "seed": seed})
-            status, submitted = client.request("POST", "/jobs", {**self.PARAMS, "seed": 77})
+            status, submitted = client.request("POST", "/v1/jobs", {**self.PARAMS, "seed": 77})
             assert status == 202
-            status, payload = client.request("GET", f"/jobs/{submitted['job']}/result")
+            status, payload = client.request("GET", f"/v1/jobs/{submitted['job']}/result")
             assert status == 409
             assert "not done" in payload["error"]["message"]
         finally:
             gate.set()
-            service.jobs._runner = original
+            service.jobs.executor.runner = original
         client.wait_job(submitted["job"])
 
     def test_cancel_queued_job(self, service, client):
@@ -438,22 +437,22 @@ class TestJobs:
                 gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
+        service.jobs.executor.runner = gated
         try:
             for seed in (201, 202):
-                client.request("POST", "/jobs", {"graph": "toy", "algorithm": "gmm",
+                client.request("POST", "/v1/jobs", {"graph": "toy", "algorithm": "gmm",
                                                  "k": 2, "seed": seed})
-            _, submitted = client.request("POST", "/jobs", {**self.PARAMS, "seed": 88})
-            status, payload = client.request("DELETE", f"/jobs/{submitted['job']}")
+            _, submitted = client.request("POST", "/v1/jobs", {**self.PARAMS, "seed": 88})
+            status, payload = client.request("DELETE", f"/v1/jobs/{submitted['job']}")
             assert status == 202
             described = client.wait_job(submitted["job"])
             assert described["status"] == "cancelled"
-            status, payload = client.request("GET", f"/jobs/{submitted['job']}/result")
+            status, payload = client.request("GET", f"/v1/jobs/{submitted['job']}/result")
             assert status == 409
             assert "cancelled" in payload["error"]["message"]
         finally:
             gate.set()
-            service.jobs._runner = original
+            service.jobs.executor.runner = original
 
     def test_coalescing_identical_inflight_jobs(self, service, client):
         gate = threading.Event()
@@ -463,26 +462,26 @@ class TestJobs:
             gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
+        service.jobs.executor.runner = gated
         try:
             params = {**self.PARAMS, "seed": 55}
-            _, first = client.request("POST", "/jobs", params)
+            _, first = client.request("POST", "/v1/jobs", params)
             assert first["coalesced"] is False
             # Field order and explicit defaults must not defeat coalescing.
             _, second = client.request(
-                "POST", "/jobs",
+                "POST", "/v1/jobs",
                 {"seed": 55, "k": 2, "samples": 300, "graph": "toy",
                  "algorithm": "mcp", "backend": "auto"},
             )
             assert second["job"] == first["job"]
             assert second["coalesced"] is True
-            _, different = client.request("POST", "/jobs", {**params, "seed": 56})
+            _, different = client.request("POST", "/v1/jobs", {**params, "seed": 56})
             assert different["job"] != first["job"]
         finally:
             gate.set()
-            service.jobs._runner = original
+            service.jobs.executor.runner = original
         assert client.wait_job(first["job"])["status"] == "done"
-        status, payload = client.request("GET", f"/jobs/{first['job']}")
+        status, payload = client.request("GET", f"/v1/jobs/{first['job']}")
         assert payload["coalesced"] == 1
 
     def test_reupload_does_not_coalesce_or_redirect_inflight_jobs(self, service, client):
@@ -493,51 +492,51 @@ class TestJobs:
             gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
-        client.request("PUT", "/graphs/mut", "0 1 0.9\n1 2 0.9\n2 3 0.9\n",
+        service.jobs.executor.runner = gated
+        client.request("PUT", "/v1/graphs/mut", "0 1 0.9\n1 2 0.9\n2 3 0.9\n",
                        content_type="text/plain")
         params = {"graph": "mut", "algorithm": "gmm", "k": 2}
         try:
-            _, first = client.request("POST", "/jobs", params)
+            _, first = client.request("POST", "/v1/jobs", params)
             # Replace the graph under the same name while the job waits.
-            client.request("PUT", "/graphs/mut",
+            client.request("PUT", "/v1/graphs/mut",
                            "0 1 0.9\n1 2 0.9\n2 3 0.9\n3 4 0.9\n",
                            content_type="text/plain")
-            _, second = client.request("POST", "/jobs", params)
+            _, second = client.request("POST", "/v1/jobs", params)
             assert second["job"] != first["job"]  # new contents: no coalescing
             assert second["coalesced"] is False
         finally:
             gate.set()
-            service.jobs._runner = original
+            service.jobs.executor.runner = original
         client.wait_job(first["job"])
         client.wait_job(second["job"])
-        _, res1 = client.request("GET", f"/jobs/{first['job']}/result")
-        _, res2 = client.request("GET", f"/jobs/{second['job']}/result")
+        _, res1 = client.request("GET", f"/v1/jobs/{first['job']}/result")
+        _, res2 = client.request("GET", f"/v1/jobs/{second['job']}/result")
         # Each job ran on the graph captured at its submission.
         assert len(res1["assignment"]) == 4
         assert len(res2["assignment"]) == 5
 
     def test_samples_below_schedule_floor_400(self, client):
-        status, payload = client.request("POST", "/jobs", {**self.PARAMS, "samples": 10})
+        status, payload = client.request("POST", "/v1/jobs", {**self.PARAMS, "samples": 10})
         assert status == 400
         assert "samples" in payload["error"]["message"] and "50" in payload["error"]["message"]
 
     def test_job_samples_above_cap_400(self, client):
         status, payload = client.request(
-            "POST", "/jobs", {**self.PARAMS, "samples": 2_000_000_000}
+            "POST", "/v1/jobs", {**self.PARAMS, "samples": 2_000_000_000}
         )
         assert status == 400
         assert "samples" in payload["error"]["message"]
 
     def test_jobs_list(self, client):
         client.run_job({"graph": "toy", "algorithm": "gmm", "k": 3})
-        status, payload = client.request("GET", "/jobs")
+        status, payload = client.request("GET", "/v1/jobs")
         assert status == 200
         assert any(job["status"] == "done" for job in payload["jobs"])
 
     def test_cache_endpoint_reports_pools(self, client):
         client.run_job(self.PARAMS)
-        status, payload = client.request("GET", "/cache")
+        status, payload = client.request("GET", "/v1/cache")
         assert status == 200
         assert payload["pools"] >= 1
         assert payload["bytes"] > 0
@@ -553,7 +552,8 @@ class TestJobQueueUnit:
 
     def test_coalesces_only_while_in_flight(self):
         release = threading.Event()
-        queue = JobQueue(lambda job: (release.wait(TIMEOUT), {"ok": True})[1], workers=1)
+        queue = JobQueue(ThreadExecutor(
+            lambda job: (release.wait(TIMEOUT), {"ok": True})[1], workers=1))
         try:
             first, coalesced_first = queue.submit({"x": 1})
             again, coalesced_again = queue.submit({"x": 1})
@@ -580,7 +580,7 @@ class TestJobQueueUnit:
                 time.sleep(0.005)
             raise AssertionError("cancel never observed")
 
-        queue = JobQueue(runner, workers=1)
+        queue = JobQueue(ThreadExecutor(runner, workers=1))
         try:
             job, _ = queue.submit({"slow": True})
             assert started.wait(TIMEOUT)
@@ -602,7 +602,7 @@ class TestJobQueueUnit:
                 raise JobCancelledError("cancelled")
             return {"ok": True}
 
-        queue = JobQueue(runner, workers=1)
+        queue = JobQueue(ThreadExecutor(runner, workers=1))
         try:
             doomed, _ = queue.submit({"x": 1})
             assert started.wait(TIMEOUT)
@@ -618,7 +618,7 @@ class TestJobQueueUnit:
             queue.shutdown()
 
     def test_failure_recorded_not_raised(self):
-        queue = JobQueue(lambda job: 1 / 0, workers=1)
+        queue = JobQueue(ThreadExecutor(lambda job: 1 / 0, workers=1))
         try:
             job, _ = queue.submit({})
             final = _wait_terminal(queue, job.id)
@@ -629,8 +629,65 @@ class TestJobQueueUnit:
         finally:
             queue.shutdown()
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_submit_after_shutdown_rejected_before_any_job(self, mode):
+        from repro.service.workers import WorkerPool
+
+        if mode == "thread":
+            executor = ThreadExecutor(lambda job: {}, workers=1)
+        else:
+            executor = WorkerPool(workers=1)
+        queue = JobQueue(executor)
+        queue.shutdown()
+        depth = _queue_depth()
+        with pytest.raises(ServiceError) as caught:
+            queue.submit({"graph": "toy", "algorithm": "gmm", "k": 2},
+                         context=(_toy_graph(), ()))
+        assert caught.value.status == 503
+        assert queue.list() == []
+        assert queue.active_count() == 0
+        assert _queue_depth() == depth
+
+    def test_concurrent_submit_and_cancel_keep_counts_consistent(self):
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        queue = JobQueue(ThreadExecutor(
+            lambda job: (time.sleep(0.001), {"ok": True})[1], workers=4))
+        try:
+            def submitter(client):
+                for i in range(40):
+                    job, _ = queue.submit({"i": i % 7}, client=client)
+                    if i % 3 == 0:
+                        queue.cancel(job.id)
+
+            threads = [threading.Thread(target=submitter, args=(f"c{c}",))
+                       for c in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(TIMEOUT)
+                assert not thread.is_alive()
+            jobs = queue.list()
+            for job in jobs:
+                _wait_terminal(queue, job.id)
+            assert queue.active_count() == 0
+            assert _queue_depth() == 0
+            for job in jobs:
+                kinds = [event["event"] for event in job.events]
+                assert kinds[0] == "queued"
+                assert sum(kind in ("done", "failed", "cancelled") for kind in kinds) == 1
+            snapshots = []
+            queue.submit({"probe": True}, client="c0", admit=snapshots.append)
+            assert snapshots == [{"queued": 0, "running": 0, "client_active": 0,
+                                  "workers": 4}]
+        finally:
+            sys.setswitchinterval(interval)
+            queue.shutdown()
+
     def test_terminal_jobs_pruned(self):
-        queue = JobQueue(lambda job: {}, workers=1, retain=2)
+        queue = JobQueue(ThreadExecutor(lambda job: {}, workers=1), retain=2)
         try:
             ids = [queue.submit({"i": i})[0].id for i in range(5)]
             for job_id in ids:
@@ -639,6 +696,13 @@ class TestJobQueueUnit:
             assert len(queue.list()) <= 4  # 2 retained + in-flight slack
         finally:
             queue.shutdown()
+
+
+def _queue_depth() -> float:
+    from repro import telemetry
+    from repro.telemetry import parse_prometheus_text
+
+    return parse_prometheus_text(telemetry.get_registry().render())["repro_jobs_queue_depth"]
 
 
 def _wait_terminal(queue: JobQueue, job_id: str):
@@ -810,22 +874,22 @@ class TestGraphMutation:
     """PATCH /graphs/{name}/edges: revisions, coalescing, warm derivation."""
 
     def test_patch_updates_edge_and_bumps_revision(self, client):
-        status, before = client.request("GET", "/graphs")
+        status, before = client.request("GET", "/v1/graphs")
         rev_before = next(g["revision"] for g in before["graphs"] if g["name"] == "toy")
         status, payload = client.request(
-            "PATCH", "/graphs/toy/edges",
+            "PATCH", "/v1/graphs/toy/edges",
             {"ops": [{"op": "update", "u": 0, "v": 1, "p": 0.25}]},
         )
         assert status == 200, payload
         assert payload["delta"] == {"added": 0, "removed": 0, "updated": 1}
         assert payload["revision"] > rev_before
         assert payload["graph_revision"] == 1
-        status, after = client.request("GET", "/graphs/toy")
+        status, after = client.request("GET", "/v1/graphs/toy")
         assert after["edge_probability"]["min"] == 0.05  # untouched edge
 
     def test_patch_add_and_remove(self, client):
         status, payload = client.request(
-            "PATCH", "/graphs/toy/edges",
+            "PATCH", "/v1/graphs/toy/edges",
             {"ops": [{"op": "add", "u": 0, "v": 5, "p": 0.5},
                      {"op": "remove", "u": 2, "v": 3}]},
         )
@@ -835,7 +899,7 @@ class TestGraphMutation:
 
     def test_patch_bare_list_body(self, client):
         status, payload = client.request(
-            "PATCH", "/graphs/toy/edges", [{"op": "update", "u": 0, "v": 1, "p": 0.4}]
+            "PATCH", "/v1/graphs/toy/edges", [{"op": "update", "u": 0, "v": 1, "p": 0.4}]
         )
         assert status == 200 and payload["delta"]["updated"] == 1
 
@@ -854,20 +918,20 @@ class TestGraphMutation:
                      {"op": "update", "u": 1, "v": 0, "p": 0.4}]},  # dup edge
         ]
         for body in cases:
-            status, payload = client.request("PATCH", "/graphs/toy/edges", body)
+            status, payload = client.request("PATCH", "/v1/graphs/toy/edges", body)
             assert status == 400, (body, payload)
             assert "error" in payload
 
     def test_patch_unknown_graph_404(self, client):
         status, _ = client.request(
-            "PATCH", "/graphs/nope/edges",
+            "PATCH", "/v1/graphs/nope/edges",
             {"ops": [{"op": "update", "u": 0, "v": 1, "p": 0.5}]},
         )
         assert status == 404
 
     def test_patch_unknown_node_404(self, client):
         status, payload = client.request(
-            "PATCH", "/graphs/toy/edges",
+            "PATCH", "/v1/graphs/toy/edges",
             {"ops": [{"op": "update", "u": 0, "v": 99, "p": 0.5}]},
         )
         assert status == 404
@@ -885,25 +949,25 @@ class TestGraphMutation:
             gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
+        service.jobs.executor.runner = gated
         params = {"graph": "toy", "algorithm": "gmm", "k": 2}
         try:
-            _, first = client.request("POST", "/jobs", params)
+            _, first = client.request("POST", "/v1/jobs", params)
             assert first["coalesced"] is False
             status, patched = client.request(
-                "PATCH", "/graphs/toy/edges",
+                "PATCH", "/v1/graphs/toy/edges",
                 {"ops": [{"op": "remove", "u": 2, "v": 3}]},
             )
             assert status == 200
-            _, second = client.request("POST", "/jobs", params)
+            _, second = client.request("POST", "/v1/jobs", params)
             assert second["job"] != first["job"]  # mutated contents: no coalescing
             assert second["coalesced"] is False
             # Identical re-submission against the *same* revision coalesces.
-            _, third = client.request("POST", "/jobs", params)
+            _, third = client.request("POST", "/v1/jobs", params)
             assert third["job"] == second["job"] and third["coalesced"] is True
         finally:
             gate.set()
-            service.jobs._runner = original
+            service.jobs.executor.runner = original
         client.wait_job(first["job"])
         client.wait_job(second["job"])
 
@@ -923,7 +987,7 @@ class TestGraphMutation:
 
         monkeypatch.setattr(ParallelSampler, "sample_chunk", spying)
         status, _ = client.request(
-            "PATCH", "/graphs/toy/edges",
+            "PATCH", "/v1/graphs/toy/edges",
             {"ops": [{"op": "update", "u": 0, "v": 1, "p": 0.91}]},
         )
         assert status == 200
@@ -931,7 +995,7 @@ class TestGraphMutation:
         assert calls == []  # derived, not resampled
         assert warm["worlds_sampled"] == 0
         assert warm["warm"] is True
-        status, stats = client.request("GET", "/cache")
+        status, stats = client.request("GET", "/v1/cache")
         assert stats["pools_derived"] >= 1
         assert stats["worlds_derived"] > 0
         # The derived labels equal a cold run of the mutated graph.
@@ -943,11 +1007,11 @@ class TestGraphMutation:
         assert warm["assignment"] == direct.clustering.assignment.tolist()
 
     def test_estimate_after_mutation_is_warm(self, client):
-        path = "/graphs/toy/estimate?u=0&v=2&samples=400&seed=1"
+        path = "/v1/graphs/toy/estimate?u=0&v=2&samples=400&seed=1"
         status, cold = client.request("GET", path)
         assert status == 200 and cold["worlds_sampled"] == 400
         status, _ = client.request(
-            "PATCH", "/graphs/toy/edges",
+            "PATCH", "/v1/graphs/toy/edges",
             {"ops": [{"op": "update", "u": 3, "v": 4, "p": 0.9}]},
         )
         assert status == 200
@@ -982,7 +1046,7 @@ class TestLoadgenFailureBodies:
             # Bad samples parameter -> 400 with a JSON error body.
             await _estimate_worker(
                 "127.0.0.1", server.port,
-                "/graphs/toy/estimate?u=0&v=1&samples=0",
+                "/v1/graphs/toy/estimate?u=0&v=1&samples=0",
                 time.monotonic() + 5, latencies, failures,
             )
             await client.close()
@@ -1019,23 +1083,13 @@ def _read_sse(port: int, job_id: str, timeout: float = TIMEOUT):
 
 
 class TestV1ApiSurface:
-    """Satellite pins: /v1 prefix, deprecation shim, request ids, envelope."""
+    """API surface pins: /v1 prefix, request ids, envelope."""
 
-    def test_v1_and_legacy_alias_both_serve(self, client):
-        status, v1 = client.request("GET", "/v1/healthz")
-        assert status == 200 and v1["status"] == "ok"
-        assert "deprecation" not in client.last_headers
-
-        status, legacy = client.request("GET", "/healthz")
-        assert status == 200 and legacy["status"] == "ok"
-        assert client.last_headers["deprecation"] == "true"
-        assert client.last_headers["link"] == '</v1/healthz>; rel="successor-version"'
-
-    def test_legacy_alias_covers_parameterized_routes(self, client):
-        status, _ = client.request("GET", "/graphs/toy")
-        assert status == 200
-        assert client.last_headers["link"] == '</v1/graphs/toy>; rel="successor-version"'
-        status, _ = client.request("GET", "/v1/graphs/toy")
+    def test_unversioned_paths_answer_404(self, client):
+        status, payload = client.request("GET", "/healthz")
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
+        status, _ = client.request("GET", "/v1/healthz")
         assert status == 200
         assert "deprecation" not in client.last_headers
 
@@ -1160,7 +1214,7 @@ class TestJobListPagination:
         assert len(page) == 2 and cursor is None
 
     def test_prune_is_deterministic_oldest_terminal_first(self):
-        queue = JobQueue(lambda job: {}, workers=1, retain=2)
+        queue = JobQueue(ThreadExecutor(lambda job: {}, workers=1), retain=2)
         try:
             ids = [queue.submit({"i": i})[0].id for i in range(5)]
             for job_id in ids:
@@ -1234,7 +1288,7 @@ class TestAdmissionOverHttp:
             gate.wait(TIMEOUT)
             return original(job)
 
-        svc.jobs._runner = gated
+        svc.jobs.executor.runner = gated
         server = BackgroundServer(svc).start()
         client = Client(server.port)
         try:
@@ -1294,7 +1348,7 @@ class TestDrainShutdown:
             gate.wait(TIMEOUT)
             return original(job)
 
-        svc.jobs._runner = gated
+        svc.jobs.executor.runner = gated
         server = BackgroundServer(svc).start()
         client = Client(server.port)
         try:
@@ -1344,7 +1398,7 @@ class TestDrainShutdown:
                 raise JobCancelledError("cancelled at shutdown")
             return original(job)
 
-        svc.jobs._runner = gated
+        svc.jobs.executor.runner = gated
         server = BackgroundServer(svc).start()
         client = Client(server.port)
         try:
@@ -1463,18 +1517,26 @@ class TestProcessWorkers:
                 )
                 assert client.request("DELETE", f"/v1/jobs/{probe['job']}")[0] == 202
                 assert client.request("DELETE", f"/v1/jobs/{heavy['job']}")[0] == 202
-                assert client.wait_job(probe["job"])["status"] == "cancelled"
+                probe_final = client.wait_job(probe["job"])
+                assert probe_final["status"] == "cancelled"
                 assert client.wait_job(heavy["job"])["status"] == "cancelled"
                 status, payload = client.request("GET", f"/v1/jobs/{heavy['job']}/result")
                 assert status == 409
+                # Cancelled while queued: the worker checks its flag before
+                # reporting "running", so the lifecycle matches thread mode.
+                assert probe_final["error"] == "cancelled before start"
+                _, probe_events = _read_sse(server.port, probe["job"])
+                kinds = [event["event"] for event in probe_events]
+                assert "running" not in kinds
+                assert kinds == ["queued", "cancelled"]
             finally:
                 client.close()
 
     def test_process_queue_rejects_bad_config(self):
-        from repro.service.workers import ProcessJobQueue
+        from repro.service.workers import WorkerPool
 
         with pytest.raises(ValueError):
-            ProcessJobQueue(workers=0)
+            WorkerPool(workers=0)
 
 
 class TestTelemetryEndpoints:

@@ -121,25 +121,25 @@ class TestWorkloadJobs:
             gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
+        service.jobs.executor.runner = gated
         try:
             params = {"graph": "toy", "algorithm": "kcenter", "k": 2,
                       "samples": 250, "seed": 91}
-            _, first = client.request("POST", "/jobs", params)
+            _, first = client.request("POST", "/v1/jobs", params)
             assert first["coalesced"] is False
             # Explicit defaults must not defeat the canonical key.
             _, second = client.request(
-                "POST", "/jobs", {**params, "backend": "auto"}
+                "POST", "/v1/jobs", {**params, "backend": "auto"}
             )
             assert second["job"] == first["job"]
             assert second["coalesced"] is True
             _, other = client.request(
-                "POST", "/jobs", {**params, "algorithm": "kmedian"}
+                "POST", "/v1/jobs", {**params, "algorithm": "kmedian"}
             )
             assert other["job"] != first["job"]
         finally:
             gate.set()
-            service.jobs._runner = original
+            service.jobs.executor.runner = original
         assert client.wait_job(first["job"])["status"] == "done"
 
     def test_centrality_jobs_coalesce_on_measure_and_tol(self, service, client):
@@ -150,29 +150,29 @@ class TestWorkloadJobs:
             gate.wait(TIMEOUT)
             return original(job)
 
-        service.jobs._runner = gated
+        service.jobs.executor.runner = gated
         try:
             params = {"graph": "toy", "algorithm": "centrality",
                       "measure": "harmonic", "seed": 92}
-            _, first = client.request("POST", "/jobs", params)
-            _, same = client.request("POST", "/jobs", {**params, "tol": 0.05})
+            _, first = client.request("POST", "/v1/jobs", params)
+            _, same = client.request("POST", "/v1/jobs", {**params, "tol": 0.05})
             assert same["job"] == first["job"]  # 0.05 is the default tol
             _, other_measure = client.request(
-                "POST", "/jobs", {**params, "measure": "degree"}
+                "POST", "/v1/jobs", {**params, "measure": "degree"}
             )
             assert other_measure["job"] != first["job"]
-            _, other_tol = client.request("POST", "/jobs", {**params, "tol": 0.01})
+            _, other_tol = client.request("POST", "/v1/jobs", {**params, "tol": 0.01})
             assert other_tol["job"] != first["job"]
         finally:
             gate.set()
-            service.jobs._runner = original
+            service.jobs.executor.runner = original
         assert client.wait_job(first["job"])["status"] == "done"
 
 
 class TestNegativePaths:
     def test_unknown_algorithm_is_400_with_stable_code(self, client):
         status, payload = client.request(
-            "POST", "/jobs", {"graph": "toy", "algorithm": "pagerank"}
+            "POST", "/v1/jobs", {"graph": "toy", "algorithm": "pagerank"}
         )
         assert status == 400
         assert payload["error"]["code"] == "unknown_algorithm"
@@ -186,7 +186,7 @@ class TestNegativePaths:
         body = {"graph": "toy"}
         if algorithm is not None:
             body["algorithm"] = algorithm
-        status, payload = client.request("POST", "/jobs", body)
+        status, payload = client.request("POST", "/v1/jobs", body)
         if algorithm is None:
             # Missing algorithm falls back to the default (mcp): accepted.
             assert status == 202
@@ -196,7 +196,7 @@ class TestNegativePaths:
 
     def test_unknown_measure_is_400(self, client):
         status, payload = client.request(
-            "POST", "/jobs",
+            "POST", "/v1/jobs",
             {"graph": "toy", "algorithm": "centrality", "measure": "pagerank"},
         )
         assert status == 400
@@ -206,7 +206,7 @@ class TestNegativePaths:
     @pytest.mark.parametrize("tol", [0, -1, "nan", "inf", "soon"])
     def test_bad_tol_is_400(self, client, tol):
         status, payload = client.request(
-            "POST", "/jobs",
+            "POST", "/v1/jobs",
             {"graph": "toy", "algorithm": "centrality", "tol": tol},
         )
         assert status == 400
@@ -215,7 +215,7 @@ class TestNegativePaths:
     def test_bad_k_is_400(self, client):
         for k in (0, -2, "many"):
             status, payload = client.request(
-                "POST", "/jobs", {"graph": "toy", "algorithm": "kmedian", "k": k}
+                "POST", "/v1/jobs", {"graph": "toy", "algorithm": "kmedian", "k": k}
             )
             assert status == 400
 
@@ -242,7 +242,7 @@ class TestSSEOrdering:
     ], ids=lambda p: p["algorithm"])
     def test_stream_is_ordered_and_terminal(self, server, client, params):
         _, accepted = client.request(
-            "POST", "/jobs", {"graph": "toy", "seed": 21, **params}
+            "POST", "/v1/jobs", {"graph": "toy", "seed": 21, **params}
         )
         job = accepted["job"]
         client.wait_job(job)
@@ -306,7 +306,7 @@ class TestProcessPoolWorkloads:
 
     def test_sse_ordering_under_process_pool(self, proc_server, proc_client):
         _, accepted = proc_client.request(
-            "POST", "/jobs",
+            "POST", "/v1/jobs",
             {"graph": "toy", "algorithm": "centrality", "measure": "harmonic",
              "samples": 400, "seed": 51, "tol": 1e-9},
         )
@@ -322,7 +322,7 @@ class TestProcessPoolWorkloads:
 
     def test_unknown_algorithm_under_process_pool(self, proc_client):
         status, payload = proc_client.request(
-            "POST", "/jobs", {"graph": "toy", "algorithm": "bogus"}
+            "POST", "/v1/jobs", {"graph": "toy", "algorithm": "bogus"}
         )
         assert status == 400
         assert payload["error"]["code"] == "unknown_algorithm"
